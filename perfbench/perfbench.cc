@@ -958,7 +958,7 @@ run(const Args &args)
     std::vector<Metric> metrics;
     if (!args.trace) {
         std::vector<double> setups;
-        std::vector<double> rates;
+        double invocations = 0.0;
         double opSeconds = 0.0;
         for (unsigned n = 0; n == 0 || opSeconds < args.seconds; ++n) {
             const unsigned set = n % kInputSets;
@@ -973,10 +973,15 @@ run(const Args &args)
             const OpOutput out = wl->op();
             const double sec = opTimer.seconds();
             opSeconds += sec;
-            rates.push_back(static_cast<double>(out.invocations) / sec);
+            invocations += static_cast<double>(out.invocations);
+            std::cerr << "op " << n << ": " << sec << " s\n";
             check(out, set, "operation");
         }
-        metrics.push_back({"invocations_per_s", median(rates), "1/s"});
+        // A shared host's memory speed drifts in phases of about a
+        // minute; the rate over the whole run follows them a little less
+        // than the median operation's rate does.
+        metrics.push_back(
+            {"invocations_per_s", invocations / opSeconds, "1/s"});
         metrics.push_back({"setup_s", median(setups), "s"});
         metrics.push_back({"peak_rss_mb", peakRssMb(), "MB"});
     } else {

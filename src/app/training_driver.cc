@@ -27,18 +27,17 @@ runTrainingIteration(policy::CohmeleonPolicy &policy,
     return result;
 }
 
-namespace
+void
+TrainingOptions::validate() const
 {
+    fatalIf(shards == 0, "training needs at least one shard");
+    fatalIf(iterations == 0, "training needs at least one iteration");
+    merge.validate();
+    explore.validate();
+    model.validate();
+}
 
-/** Everything a shard hands back for the fold. */
-struct ShardState
-{
-    rl::Model model;
-    rl::RewardTracker tracker;
-    ShardReport report;
-};
-
-ShardState
+TrainedShard
 trainShard(const soc::SocConfig &cfg, const TrainingOptions &opts,
            std::size_t shard)
 {
@@ -58,7 +57,7 @@ trainShard(const soc::SocConfig &cfg, const TrainingOptions &opts,
     for (unsigned it = 0; it < opts.iterations; ++it)
         runTrainingIteration(policy, cfg, app, opts.knobs);
 
-    ShardState out;
+    TrainedShard out;
     out.model = policy.agent().model();
     out.tracker = policy.rewardTracker();
     out.report.seed = appSeed;
@@ -69,7 +68,36 @@ trainShard(const soc::SocConfig &cfg, const TrainingOptions &opts,
     return out;
 }
 
-} // namespace
+TrainingResult
+beginFold(const TrainingOptions &opts, std::size_t total)
+{
+    opts.validate();
+    TrainingResult result;
+    policy::PolicyCheckpoint &c = result.checkpoint;
+    c.weights = opts.weights;
+    c.agent.decayIterations = opts.iterations;
+    c.agent.seed = opts.agentSeed;
+    c.agent.explore = opts.explore;
+    c.agent.model = opts.model;
+    c.merge = opts.merge;
+    c.iteration = opts.iterations;
+    c.frozen = true;
+    c.model = rl::Model(opts.model);
+    // The merged model's evaluation stream: a fresh stream derived
+    // past the shard range, a pure function of the options.
+    c.rngState = Rng(experimentSeed(opts.agentSeed, total)).state();
+    return result;
+}
+
+void
+foldShard(TrainingResult &result, const TrainedShard &shard)
+{
+    policy::PolicyCheckpoint &c = result.checkpoint;
+    c.model.merge(shard.model, c.merge);
+    c.tracker.mergeFrom(shard.tracker);
+    result.shards.push_back(shard.report);
+    result.totalInvocations += shard.report.invocations;
+}
 
 TrainingResult
 TrainingDriver::train(const soc::SocConfig &cfg,
@@ -86,46 +114,23 @@ trainAcrossSocs(const std::vector<soc::SocConfig> &cfgs,
                 const TrainingOptions &opts, ParallelRunner &runner)
 {
     fatalIf(cfgs.empty(), "training needs at least one SoC");
-    fatalIf(opts.shards == 0, "training needs at least one shard");
-    fatalIf(opts.iterations == 0,
-            "training needs at least one iteration");
-    opts.merge.validate();
-    opts.explore.validate();
-    opts.model.validate();
+    const std::size_t total = cfgs.size() * opts.shards;
+    TrainingResult result = beginFold(opts, total);
 
     // One flat fan-out over the (config, shard) grid. Each shard is
     // an isolated single-threaded simulation seeded by its global
     // (config-major) index — a pure function of (cfgs, opts, index),
     // so the pool width is invisible in the results and no two
     // shards anywhere share an app or an exploration stream.
-    const std::size_t total = cfgs.size() * opts.shards;
-    const std::vector<ShardState> shards = runner.map<ShardState>(
+    const std::vector<TrainedShard> shards = runner.map<TrainedShard>(
         total, [&](std::size_t i) {
             return trainShard(cfgs[i / opts.shards], opts, i);
         });
 
     // Sequential fold in global shard order — the one place order
     // matters, and it is fixed here, never by the scheduler.
-    TrainingResult result;
-    policy::PolicyCheckpoint &c = result.checkpoint;
-    c.weights = opts.weights;
-    c.agent.decayIterations = opts.iterations;
-    c.agent.seed = opts.agentSeed;
-    c.agent.explore = opts.explore;
-    c.agent.model = opts.model;
-    c.merge = opts.merge;
-    c.iteration = opts.iterations;
-    c.frozen = true;
-    c.model = rl::Model(opts.model);
-    // The merged model's evaluation stream: a fresh stream derived
-    // past the shard range, a pure function of the options.
-    c.rngState = Rng(experimentSeed(opts.agentSeed, total)).state();
-    for (const ShardState &s : shards) {
-        c.model.merge(s.model, opts.merge);
-        c.tracker.mergeFrom(s.tracker);
-        result.shards.push_back(s.report);
-        result.totalInvocations += s.report.invocations;
-    }
+    for (const TrainedShard &s : shards)
+        foldShard(result, s);
     return result;
 }
 

@@ -55,6 +55,10 @@ struct TrainingOptions
     RuntimeKnobs knobs;
 
     TrainingOptions() { appParams = denseTrainingParams(); }
+
+    /** @throws FatalError on zero shards or iterations, or an
+     *  invalid merge/explore/model spec */
+    void validate() const;
 };
 
 /** What one shard contributed to the merged model. */
@@ -63,6 +67,14 @@ struct ShardReport
     std::uint64_t seed = 0;         ///< the shard app's derived seed
     std::uint64_t invocations = 0;  ///< accelerator invocations run
     std::uint64_t qtableVisits = 0; ///< learn() updates applied
+};
+
+/** Everything one trained shard hands the fold. */
+struct TrainedShard
+{
+    rl::Model model;
+    rl::RewardTracker tracker;
+    ShardReport report;
 };
 
 /** Outcome of TrainingDriver::train(). */
@@ -114,6 +126,27 @@ AppResult runTrainingIteration(policy::CohmeleonPolicy &policy,
                                const soc::SocConfig &cfg,
                                const AppSpec &trainApp,
                                const RuntimeKnobs &knobs);
+
+/**
+ * The per-shard step: train global shard @p shard of a run on @p cfg
+ * (agent seeded experimentSeed(opts.agentSeed, shard), app seeded
+ * experimentSeed(opts.trainSeed, shard)) for the full decay
+ * schedule. An isolated single-threaded simulation and a pure
+ * function of (cfg, opts, shard), so any thread may run it.
+ */
+TrainedShard trainShard(const soc::SocConfig &cfg,
+                        const TrainingOptions &opts, std::size_t shard);
+
+/**
+ * Start the fold of a run over @p total shards: validates @p opts and
+ * returns the frozen checkpoint header with an empty model. Feed
+ * every shard to foldShard() in global shard-index order.
+ */
+TrainingResult beginFold(const TrainingOptions &opts, std::size_t total);
+
+/** Fold the next shard (in global shard-index order) into @p result
+ *  under the checkpoint's merge strategy. */
+void foldShard(TrainingResult &result, const TrainedShard &shard);
 
 /**
  * Cross-SoC transfer training (the Figure-9-grid ROADMAP item):

@@ -7,14 +7,19 @@
 namespace cohmeleon::rl
 {
 
-SwapTableHandle::SwapTableHandle(Model initial,
-                                 std::vector<std::uint64_t> readsPerGen)
+SwapTableHandle::SwapTableHandle(std::vector<std::uint64_t> readsPerGen)
     : readsPerGen_(std::move(readsPerGen)),
       retired_(readsPerGen_.size(), 0)
 {
     fatalIf(readsPerGen_.empty(),
             "swap table needs at least one generation");
-    slots_[0] = std::move(initial);
+}
+
+SwapTableHandle::SwapTableHandle(Model initial,
+                                 std::vector<std::uint64_t> readsPerGen)
+    : SwapTableHandle(std::move(readsPerGen))
+{
+    publish(0, std::move(initial));
 }
 
 std::uint64_t
@@ -23,11 +28,18 @@ SwapTableHandle::generations() const
     return readsPerGen_.size();
 }
 
+bool
+SwapTableHandle::live() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return live_ > 0;
+}
+
 std::uint64_t
 SwapTableHandle::publishedGen() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return published_;
+    return live_ == 0 ? 0 : live_ - 1;
 }
 
 const Model &
@@ -36,14 +48,14 @@ SwapTableHandle::acquire(std::uint64_t gen)
     std::unique_lock<std::mutex> lock(mutex_);
     panic_if(gen >= readsPerGen_.size(),
              "acquire of generation beyond the schedule");
-    cv_.wait(lock, [&] { return aborted_ || published_ >= gen; });
+    cv_.wait(lock, [&] { return aborted_ || live_ > gen; });
     fatalIf(aborted_, "swap table aborted while waiting for "
                       "generation ", gen);
     // The publish back-pressure keeps the trainer at most two
     // generations ahead, so the requested table is still resident.
-    panic_if(published_ > gen + 1,
+    panic_if(live_ > gen + 2,
              "generation ", gen, " already overwritten (published ",
-             published_, ")");
+             live_ - 1, ")");
     return slots_[gen % 2];
 }
 
@@ -65,9 +77,9 @@ SwapTableHandle::publish(std::uint64_t gen, Model table)
     std::unique_lock<std::mutex> lock(mutex_);
     if (aborted_)
         return false;
-    panic_if(gen != published_ + 1,
-             "publish out of order: expected generation ",
-             published_ + 1, ", got ", gen);
+    panic_if(gen != live_,
+             "publish out of order: expected generation ", live_,
+             ", got ", gen);
     panic_if(gen >= readsPerGen_.size(),
              "publish of generation beyond the schedule");
     if (gen >= 2) {
@@ -81,7 +93,7 @@ SwapTableHandle::publish(std::uint64_t gen, Model table)
             return false;
     }
     slots_[gen % 2] = std::move(table);
-    published_ = gen;
+    live_ = gen + 1;
     cv_.notify_all();
     return true;
 }
@@ -98,9 +110,8 @@ const Model &
 SwapTableHandle::tableAt(std::uint64_t gen) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    panic_if(gen != published_ && (published_ == 0 ||
-                                   gen != published_ - 1),
-             "tableAt wants a generation that is no longer resident");
+    panic_if(gen + 1 != live_ && gen + 2 != live_,
+             "tableAt wants a generation that is not resident");
     return slots_[gen % 2];
 }
 

@@ -10,6 +10,8 @@
  * mutex-guarded index bump), so readers never observe a
  * half-written table and serving never stalls on a swap — a reader
  * either still pins the old generation or picks up the new one.
+ * Generation 0 is either given at construction or published later
+ * like any other (its readers then block until it arrives).
  *
  * Determinism is the point of the generation protocol. A wall-clock
  * swap ("whatever table happens to be current") would make decisions
@@ -51,17 +53,25 @@ class SwapTableHandle
 {
   public:
     /**
-     * @p initial       generation 0, published immediately
+     * Nothing published yet: generation 0 arrives through
+     * publish(0, ...), and its readers block until then.
      * @p readsPerGen   exactly how many acquire() calls each
      *                  generation will receive in a full run; the
      *                  size is the generation count
      */
+    explicit SwapTableHandle(std::vector<std::uint64_t> readsPerGen);
+
+    /** @p initial is generation 0, published immediately. */
     SwapTableHandle(Model initial,
                     std::vector<std::uint64_t> readsPerGen);
 
     std::uint64_t generations() const;
 
-    /** Highest published generation (== hot-swap count so far). */
+    /** Whether generation 0 has been published. */
+    bool live() const;
+
+    /** Highest published generation (== hot-swap count so far);
+     *  0 while nothing is live. */
     std::uint64_t publishedGen() const;
 
     /**
@@ -77,8 +87,9 @@ class SwapTableHandle
     void release(std::uint64_t gen);
 
     /**
-     * Stage @p table as generation @p gen (== publishedGen() + 1)
-     * and swap it into service. Blocks until generation gen-2 has
+     * Stage @p table as generation @p gen (the next one: 0 while
+     * nothing is live, else publishedGen() + 1) and swap it into
+     * service. Blocks until generation gen-2 has
      * retired (all its reads happened and released).
      * @return false when abortWaits() cancelled the publish — the
      *         drain path's signal that no reader will ever want this
@@ -96,8 +107,9 @@ class SwapTableHandle
 
     /**
      * Quiescent access to a live generation's table, for the
-     * serving+staging checkpoint after the drain: @p gen must be
-     * publishedGen() or (when publishedGen() > 0) publishedGen()-1.
+     * serving+staging checkpoint after the drain: the handle must be
+     * live() and @p gen must be publishedGen() or (when
+     * publishedGen() > 0) publishedGen()-1.
      * Not safe while readers or the trainer are still running.
      */
     const Model &tableAt(std::uint64_t gen) const;
@@ -108,7 +120,7 @@ class SwapTableHandle
     Model slots_[2];                       ///< gen g lives in g % 2
     std::vector<std::uint64_t> readsPerGen_;
     std::vector<std::uint64_t> retired_;    ///< completed reads per gen
-    std::uint64_t published_ = 0;
+    std::uint64_t live_ = 0;                ///< generations published
     bool aborted_ = false;
 };
 

@@ -2,14 +2,18 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <utility>
+#if defined(__GLIBC__)
+#include <malloc.h> // malloc_trim
+#endif
 
 #include "app/experiment.hh"
 #include "app/fault.hh"
-#include "app/parallel_runner.hh"
 #include "app/training_driver.hh"
 #include "policy/cohmeleon_policy.hh"
 #include "rl/table_handle.hh"
@@ -93,12 +97,11 @@ requestApp(const ServeRequest &req)
     return spec;
 }
 
-/** Train generation @p gen's shard model (fresh, not yet folded).
- *  Serial on the calling (trainer) thread; the per-generation seeds
- *  make every generation's model a pure function of the spec. */
-rl::Model
-trainGenerationModel(const ServeSpec &spec, const soc::SocConfig &cfg,
-                     std::uint64_t gen)
+/** The training options of generation @p gen: the spec's cadence
+ *  with seeds derived from (seed, generation), so every generation's
+ *  fresh shard models are a pure function of (spec, gen). */
+app::TrainingOptions
+generationOptions(const ServeSpec &spec, std::uint64_t gen)
 {
     app::TrainingOptions opts;
     opts.iterations = spec.trainIterations;
@@ -109,10 +112,202 @@ trainGenerationModel(const ServeSpec &spec, const soc::SocConfig &cfg,
     opts.merge = spec.merge;
     opts.explore = spec.explore;
     opts.model = spec.model;
-    app::ParallelRunner serial(1);
-    app::TrainingDriver driver(serial);
-    return driver.train(cfg, opts).checkpoint.model;
+    return opts;
 }
+
+/**
+ * The session's training work, shared by the trainer and the
+ * decision workers. Every generation the session trains is
+ * spec.trainShards independent (generation, shard) jobs, numbered in
+ * (generation, shard) order and claimed from one counter by
+ *
+ *   - the trainer, for the generation it folds next, and
+ *   - any worker whose request waits on an unpublished generation:
+ *     it trains the next job instead of blocking, then re-checks.
+ *
+ * The trainer alone takes finished shards back, in job order, and
+ * folds them. At most spec.threads + 1 jobs (the lookahead window)
+ * are claimed but not yet taken, so finished shard models never pile
+ * up however long the session runs.
+ *
+ * Publication is mirrored here (ready_), so a worker waits for "my
+ * generation, a job to run, or the drain" on one condition variable.
+ * The drain latches under the same mutex: afterwards nothing is
+ * claimed or marked published, so the generations workers may serve
+ * are frozen and the served requests stay a prefix of the trace.
+ */
+class TrainingJobs
+{
+  public:
+    /** Jobs for generations [firstTrained, endGen); the first
+     *  @p ready generations are already published. */
+    TrainingJobs(const ServeSpec &spec, const soc::SocConfig &cfg,
+                 std::uint64_t firstTrained, std::uint64_t endGen,
+                 std::uint64_t ready)
+        : spec_(spec), cfg_(cfg), firstGen_(firstTrained),
+          jobs_(endGen > firstTrained
+                    ? (endGen - firstTrained) * spec.trainShards
+                    : 0),
+          slots_(spec.threads + 1), ready_(ready)
+    {
+    }
+
+    /** Worker side: true once generation @p gen is published, false
+     *  when the session drains first. Trains jobs while it waits. */
+    bool
+    awaitGeneration(std::uint64_t gen)
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        while (gen >= ready_) {
+            if (draining())
+                return false;
+            if (claimable())
+                runNext(lock);
+            else
+                cv_.wait_for(lock, kStopPoll);
+        }
+        return true;
+    }
+
+    /**
+     * Trainer side: generation @p gen's fresh model, its shards
+     * folded in shard-index order; the trainer runs that
+     * generation's unclaimed jobs itself. Empty on drain.
+     */
+    std::optional<rl::Model>
+    foldGeneration(std::uint64_t gen)
+    {
+        app::TrainingResult fold = app::beginFold(
+            generationOptions(spec_, gen), spec_.trainShards);
+        for (unsigned i = 0; i < spec_.trainShards; ++i) {
+            std::optional<app::TrainedShard> shard = takeNext();
+            if (!shard)
+                return std::nullopt;
+            app::foldShard(fold, *shard);
+        }
+        return std::move(fold.checkpoint.model);
+    }
+
+    /** Trainer side: generation @p gen is published. False when the
+     *  drain came first, and the workers will not see it. */
+    bool
+    markPublished(std::uint64_t gen)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (draining())
+            return false;
+        ready_ = gen + 1;
+        cv_.notify_all();
+        return true;
+    }
+
+    /** Latch the drain and wake every waiter. */
+    void
+    stop()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        stopped_ = true;
+        cv_.notify_all();
+    }
+
+    /** Jobs claimed so far (every claimed job runs to completion). */
+    std::uint64_t
+    claimed() const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return claimed_;
+    }
+
+  private:
+    /** How often a waiter re-checks the asynchronous stop latch. */
+    static constexpr std::chrono::milliseconds kStopPoll{20};
+
+    /** Latch the campaign stop flag (set from signal handlers and
+     *  failing threads) into stopped_. Caller holds mutex_. */
+    bool
+    draining()
+    {
+        if (!stopped_ && app::campaignStopRequested()) {
+            stopped_ = true;
+            cv_.notify_all();
+        }
+        return stopped_;
+    }
+
+    /** Whether another job may be claimed. Caller holds mutex_ and
+     *  has checked draining(). */
+    bool
+    claimable() const
+    {
+        return claimed_ < jobs_ &&
+               claimed_ - taken_ < slots_.size();
+    }
+
+    /** Claim and run the next job outside the lock; park its shard in
+     *  the job's window slot. */
+    void
+    runNext(std::unique_lock<std::mutex> &lock)
+    {
+        const std::uint64_t job = claimed_++;
+        const std::uint64_t gen = firstGen_ + job / spec_.trainShards;
+        lock.unlock();
+        app::TrainedShard shard =
+            app::trainShard(cfg_, generationOptions(spec_, gen),
+                            job % spec_.trainShards);
+#if defined(__GLIBC__)
+        // A training simulation grows its version-tracker tables
+        // through megabyte buffers; once glibc frees one it raises its
+        // trim threshold, so every thread's arena that trained would
+        // keep megabytes of free pages resident. Hand them back.
+        malloc_trim(0);
+#endif
+        lock.lock();
+        slots_[job % slots_.size()] = std::move(shard);
+        cv_.notify_all();
+    }
+
+    /** The next shard in job order, for the fold. */
+    std::optional<app::TrainedShard>
+    takeNext()
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        const std::uint64_t job = taken_;
+        // The trainer trains only the generation it folds, so it is
+        // free to fold the moment a worker lands that generation's
+        // last shard.
+        const std::uint64_t genEnd =
+            (job / spec_.trainShards + 1) * spec_.trainShards;
+        std::optional<app::TrainedShard> &slot =
+            slots_[job % slots_.size()];
+        while (job >= claimed_ || !slot) {
+            if (draining())
+                return std::nullopt;
+            if (claimed_ < genEnd && claimable())
+                runNext(lock);
+            else
+                cv_.wait_for(lock, kStopPoll);
+        }
+        std::optional<app::TrainedShard> shard = std::move(slot);
+        slot.reset();
+        ++taken_;
+        cv_.notify_all();
+        return shard;
+    }
+
+    const ServeSpec &spec_;
+    const soc::SocConfig &cfg_;
+    const std::uint64_t firstGen_; ///< generation of job 0
+    const std::uint64_t jobs_;     ///< jobs in the whole session
+
+    mutable std::mutex mutex_;
+    std::condition_variable cv_;
+    /** Finished, not yet taken shards: job j parks in j % size. */
+    std::vector<std::optional<app::TrainedShard>> slots_;
+    std::uint64_t claimed_ = 0; ///< next job to claim
+    std::uint64_t taken_ = 0;   ///< next job to fold
+    std::uint64_t ready_;       ///< generations workers may serve
+    bool stopped_ = false;
+};
 
 } // namespace
 
@@ -158,26 +353,18 @@ runServe(const ServeSpec &spec)
     const std::vector<ServeRequest> trace =
         generateRequestTrace(spec, namingSoc);
 
-    // Generation 0: a loaded serving checkpoint, or a synchronous
-    // pre-train so the first decisions already come from a model.
-    rl::Model initial(spec.model);
-    bool hasPreStaged = false;
-    rl::Model preStaged(spec.model);
+    // Generation 0 and, when staged, 1 come from a loaded serving
+    // checkpoint (taken as-is); every other generation is trained.
+    std::optional<policy::ServeState> loaded;
     if (!spec.loadState.empty()) {
-        const policy::ServeState loaded =
-            policy::ServeState::loadFile(spec.loadState);
-        fatalIf(!(loaded.serving.spec() == spec.model), "serve state '",
+        loaded = policy::ServeState::loadFile(spec.loadState);
+        fatalIf(!(loaded->serving.spec() == spec.model), "serve state '",
                 spec.loadState, "' holds a '",
-                rl::toString(loaded.serving.spec()),
+                rl::toString(loaded->serving.spec()),
                 "' model but the spec serves '",
                 rl::toString(spec.model), "'");
-        initial = loaded.serving;
-        hasPreStaged = loaded.hasStaging;
-        if (hasPreStaged)
-            preStaged = loaded.staging;
-    } else {
-        initial = trainGenerationModel(spec, cfg, 0);
     }
+    generationOptions(spec, 0).validate();
 
     ServeResult result;
     result.requested = spec.requests;
@@ -187,12 +374,17 @@ runServe(const ServeSpec &spec)
     for (std::size_t t = 0; t < spec.tenants.size(); ++t)
         result.tenants[t].label = spec.tenants[t].label;
 
-    rl::SwapTableHandle handle(initial,
-                               generationReadQuota(trace, spec));
+    rl::SwapTableHandle handle(generationReadQuota(trace, spec));
     const std::uint64_t maxGen = result.generations - 1;
+    const std::uint64_t firstGen = loaded ? 1 : 0;
+    const rl::Model *preStaged =
+        loaded && loaded->hasStaging ? &loaded->staging : nullptr;
+    const std::uint64_t firstTrained = preStaged ? 2 : firstGen;
+    if (loaded)
+        handle.publish(0, loaded->serving);
+    TrainingJobs jobs(spec, cfg, firstTrained, maxGen + 1, firstGen);
 
     std::atomic<std::uint64_t> cursor{0};
-    std::atomic<bool> trainerStop{false};
     std::mutex errorMutex;
     std::string firstError;
     const auto recordError = [&](const std::string &what) {
@@ -209,22 +401,26 @@ runServe(const ServeSpec &spec)
     // determinism: allow(wall-clock, open-loop pacing baseline - delays work only, results stay pure functions of the spec)
     const auto runStart = std::chrono::steady_clock::now();
 
-    // ---- background trainer: generations 1..maxGen ------------------
+    // ---- trainer: folds and publishes every generation in order -----
     std::thread trainer([&] {
         try {
-            rl::Model current = initial;
-            for (std::uint64_t gen = 1; gen <= maxGen; ++gen) {
-                if (trainerStop.load(std::memory_order_relaxed))
-                    break;
-                if (gen == 1 && hasPreStaged) {
-                    current = preStaged;
+            rl::Model current =
+                loaded ? loaded->serving : rl::Model(spec.model);
+            for (std::uint64_t gen = firstGen; gen <= maxGen; ++gen) {
+                if (gen == 1 && preStaged) {
+                    current = *preStaged;
                 } else {
-                    rl::Model next = current;
-                    next.merge(trainGenerationModel(spec, cfg, gen),
-                               spec.merge);
-                    current = std::move(next);
+                    std::optional<rl::Model> fresh =
+                        jobs.foldGeneration(gen);
+                    if (!fresh)
+                        break; // drained
+                    if (gen == 0)
+                        current = std::move(*fresh);
+                    else
+                        current.merge(*fresh, spec.merge);
                 }
-                if (!handle.publish(gen, current))
+                if (!handle.publish(gen, current) ||
+                    !jobs.markPublished(gen))
                     break; // drain cancelled the remaining swaps
             }
         } catch (const std::exception &e) {
@@ -256,6 +452,10 @@ runServe(const ServeSpec &spec)
                             runStart + std::chrono::duration<double>(
                                            req.arrivalSec));
                     }
+                    // Train while the generation is not out yet; a
+                    // drain drops the request unserved.
+                    if (!jobs.awaitGeneration(req.generation))
+                        break;
                     const rl::Model &model =
                         handle.acquire(req.generation);
                     ServingPolicy policy(model);
@@ -297,9 +497,10 @@ runServe(const ServeSpec &spec)
         t.join();
     const bool interrupted = app::campaignStopRequested();
 
-    // Nobody will acquire another generation: release the trainer
-    // from swaps with no remaining readers, then reap it.
-    trainerStop.store(true, std::memory_order_relaxed);
+    // Nobody will acquire another generation: stop the training jobs,
+    // release the trainer from swaps with no remaining readers, then
+    // reap it.
+    jobs.stop();
     handle.abortWaits();
     trainer.join();
 
@@ -310,11 +511,19 @@ runServe(const ServeSpec &spec)
     }
 
     // ---- deterministic post-drain accounting ------------------------
-    const std::uint64_t served = std::min<std::uint64_t>(
-        cursor.load(), trace.size());
+    // A drain drops the claimed requests whose generation was still
+    // training; generations only grow along the trace, so the served
+    // requests are a prefix of it.
+    std::uint64_t served = 0;
+    while (served < trace.size() && result.outcomes[served].served)
+        ++served;
+    for (std::uint64_t seq = served; seq < trace.size(); ++seq)
+        panic_if(result.outcomes[seq].served, "request ", seq,
+                 " served past the drained prefix ", served);
     result.served = served;
     result.interrupted = interrupted && served < trace.size();
     result.hotSwaps = handle.publishedGen();
+    result.trainingJobs = jobs.claimed();
 
     // Per-tenant attribution folds in trace order, so tenant reward
     // histories are independent of which worker served what.
@@ -336,25 +545,29 @@ runServe(const ServeSpec &spec)
 
     // Serving + staging snapshot: the elder live buffer serves, the
     // younger (when the trainer ran ahead of the drain) is staged
-    // for the next session's generation 1.
-    const std::uint64_t published = result.hotSwaps;
-    const std::uint64_t lastServedGen =
-        served == 0 ? 0 : trace[served - 1].generation;
-    if (published <= lastServedGen) {
-        result.state.servingGen = published;
-        result.state.serving = handle.tableAt(published);
-    } else {
-        result.state.servingGen = published - 1;
-        result.state.serving = handle.tableAt(published - 1);
-        result.state.hasStaging = true;
-        result.state.staging = handle.tableAt(published);
+    // for the next session's generation 1. None when the session
+    // drained before generation 0 was trained.
+    if (handle.live()) {
+        policy::ServeState &state = result.state.emplace();
+        const std::uint64_t published = result.hotSwaps;
+        const std::uint64_t lastServedGen =
+            served == 0 ? 0 : trace[served - 1].generation;
+        if (published <= lastServedGen) {
+            state.servingGen = published;
+            state.serving = handle.tableAt(published);
+        } else {
+            state.servingGen = published - 1;
+            state.serving = handle.tableAt(published - 1);
+            state.hasStaging = true;
+            state.staging = handle.tableAt(published);
+        }
     }
 
     result.decisionLog = renderDecisionLog(spec, trace, result);
     if (!spec.decisionLog.empty())
         atomicWriteFile(spec.decisionLog, result.decisionLog);
-    if (!spec.saveState.empty())
-        result.state.saveFile(spec.saveState);
+    if (!spec.saveState.empty() && result.state)
+        result.state->saveFile(spec.saveState);
     result.wallSeconds = sessionTimer.seconds();
     return result;
 }

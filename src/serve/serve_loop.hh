@@ -5,7 +5,7 @@
  * Q-table handle, with background training hot-swapping fresh models
  * in at fixed request boundaries.
  *
- * Execution shape:
+ * Execution shape (spec.threads + 1 threads, no more):
  *
  *   - N worker threads claim trace slots from one atomic cursor (so
  *     the claimed set is always a sequence prefix), pin the request's
@@ -14,27 +14,41 @@
  *     runPolicyOnApp() isolation the sweep drivers use), and record
  *     the outcome into the request's pre-sized slot — completion
  *     order never matters.
- *   - One trainer thread produces generations 1..G-1: per generation
- *     a sharded TrainingDriver run (serial, seeds derived from
- *     (seed, generation)) folds into the previous model under the
- *     spec's merge strategy, then publish() swaps it into service.
+ *   - Training is a shared claim queue of (generation, shard) jobs:
+ *     generation g's fresh shard models depend only on (spec, g), so
+ *     they can be trained ahead. The trainer thread claims the jobs
+ *     of the generation it folds next; a worker whose request's
+ *     generation is not yet published trains the next job instead of
+ *     blocking, then re-checks. At most threads + 1 jobs are claimed
+ *     but not yet folded (the lookahead window), so memory does not
+ *     grow with the session.
+ *   - The trainer alone folds: each generation's shards in
+ *     shard-index order into a fresh model, merged into the previous
+ *     generation under the spec's merge strategy; then publish()
+ *     swaps it into service, strictly in generation order. Without a
+ *     loaded state, generation 0 is trained through the same queue;
+ *     a loaded staged generation 1 is taken as-is.
  *   - SIGINT/SIGTERM drain reuses the campaign latch: workers stop
- *     claiming, in-flight requests finish, the trainer is released
- *     from generations nobody will read, and everything measured so
- *     far is reported (exit code 130 at the CLI, like campaigns).
+ *     claiming requests, nothing claims another training job,
+ *     in-flight requests and jobs finish, a request still waiting on
+ *     an untrained generation is dropped (so the served requests stay
+ *     a trace prefix), and everything measured so far is reported
+ *     (exit code 130 at the CLI, like campaigns).
  *
  * Determinism: every decision is a pure function of (request,
  * generation table), the generation schedule is fixed by the spec,
  * and per-tenant rewards fold sequentially in trace order after the
  * drain — so the decision log is byte-identical at any thread count.
- * Wall-clock only touches latency stats (LogHistogram) and pacing,
- * never a decision.
+ * Who trained a job, and whether a worker trained before serving,
+ * changes latency only: wall-clock touches latency stats
+ * (LogHistogram) and pacing, never a decision.
  */
 
 #ifndef COHMELEON_SERVE_SERVE_LOOP_HH
 #define COHMELEON_SERVE_SERVE_LOOP_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -80,6 +94,9 @@ struct ServeResult
 
     std::uint64_t generations = 0; ///< schedule length (>= 1)
     std::uint64_t hotSwaps = 0;    ///< generations actually published
+    /** (generation, shard) training jobs claimed. Each claimed job
+     *  runs to completion; none is claimed once a drain begins. */
+    std::uint64_t trainingJobs = 0;
 
     std::vector<RequestOutcome> outcomes; ///< slot per request (seq)
     std::vector<TenantOutcome> tenants;
@@ -92,8 +109,9 @@ struct ServeResult
     LogHistogram serviceLatency;  ///< seconds per request simulation
     double wallSeconds = 0.0;     ///< whole-session stopwatch
 
-    /** Serving + staging snapshot at drain (spec.saveState target). */
-    policy::ServeState state;
+    /** Serving + staging snapshot at drain (spec.saveState target);
+     *  empty when the session drained before generation 0 existed. */
+    std::optional<policy::ServeState> state;
 };
 
 /**

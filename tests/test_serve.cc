@@ -5,13 +5,20 @@
  *  histogram's quantile guarantees, the serving+staging state
  *  round-trip, and the serve loop's headline invariants —
  *  byte-identical decision logs at any thread count, hot swaps under
- *  load with no torn generations, and thread-count-independent
- *  per-tenant reward attribution. */
+ *  load with no torn generations, thread-count-independent
+ *  per-tenant reward attribution, generation models equal to a
+ *  sequential train-and-fold reference at any shard count and
+ *  width, and a drain during training that claims no further job
+ *  and cannot deadlock. */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
+#include <future>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -19,6 +26,7 @@
 #include <vector>
 
 #include "app/fault.hh"
+#include "app/training_driver.hh"
 #include "policy/serve_state.hh"
 #include "rl/table_handle.hh"
 #include "serve/serve_loop.hh"
@@ -83,6 +91,27 @@ tableBytes(const rl::Model &model)
     std::stringstream os;
     model.save(os);
     return os.str();
+}
+
+/** Generation @p gen's fresh model for @p spec, trained sequentially
+ *  in one TrainingDriver run: the reference the serve loop's
+ *  (generation, shard) jobs and in-order fold must reproduce. */
+rl::Model
+referenceGeneration(const serve::ServeSpec &spec, std::uint64_t gen)
+{
+    app::TrainingOptions opts;
+    opts.iterations = spec.trainIterations;
+    opts.shards = spec.trainShards;
+    opts.trainSeed = app::experimentSeed(spec.trainSeed, gen);
+    opts.agentSeed = app::experimentSeed(spec.agentSeed, gen);
+    opts.weights = spec.weights;
+    opts.merge = spec.merge;
+    opts.explore = spec.explore;
+    opts.model = spec.model;
+    app::ParallelRunner serial(1);
+    return app::TrainingDriver(serial)
+        .train(soc::makeSocByName(spec.soc), opts)
+        .checkpoint.model;
 }
 
 /** A Q-table with a recognizable, non-trivial pattern. */
@@ -589,12 +618,13 @@ TEST(ServeLoop, SavedStateResumesANewSession)
     first.saveState = dir.file("serve.state");
     const serve::ServeResult trained = serve::runServe(first);
     EXPECT_EQ(trained.served, 12u);
-    EXPECT_EQ(trained.state.servingGen, 1u);
+    ASSERT_TRUE(trained.state.has_value());
+    EXPECT_EQ(trained.state->servingGen, 1u);
 
     const policy::ServeState persisted =
         policy::ServeState::loadFile(dir.file("serve.state"));
     EXPECT_EQ(persisted.serialized(),
-              trained.state.serialized());
+              trained.state->serialized());
 
     serve::ServeSpec second = baseServeSpec();
     second.requests = 6;
@@ -603,8 +633,156 @@ TEST(ServeLoop, SavedStateResumesANewSession)
     const serve::ServeResult resumed = serve::runServe(second);
     EXPECT_EQ(resumed.served, 6u);
     EXPECT_EQ(resumed.hotSwaps, 0u);
+    ASSERT_TRUE(resumed.state.has_value());
 
     // The resumed session serves the persisted model unchanged.
-    EXPECT_EQ(tableBytes(resumed.state.serving),
+    EXPECT_EQ(tableBytes(resumed.state->serving),
               tableBytes(persisted.serving));
+}
+
+TEST(ServeLoop, FoldMatchesSequentialReferenceAtAnyWidth)
+{
+    setQuiet(true);
+    test::TempDir dir("serve_fold");
+    for (const unsigned shards : {1u, 2u}) {
+        serve::ServeSpec spec = baseServeSpec();
+        spec.swapInterval = 4;
+        spec.trainShards = shards;
+
+        std::vector<rl::Model> fresh;
+        for (std::uint64_t gen = 0; gen < 3; ++gen)
+            fresh.push_back(referenceGeneration(spec, gen));
+        const rl::Model loaded = patternedModel(1.0);
+        const rl::Model staged = patternedModel(2.0);
+        const auto merged = [&](rl::Model into, std::uint64_t gen) {
+            into.merge(fresh[gen], spec.merge);
+            return into;
+        };
+
+        // Three starts, each ending on its last generation's model:
+        // trained from scratch (generation 0 through the job queue),
+        // resumed from a loaded generation 0, and resumed with a
+        // staged generation 1 that is taken as-is, not retrained.
+        struct Start
+        {
+            const char *name;
+            std::uint64_t generations;
+            bool load;
+            bool stage;
+            rl::Model last;
+        };
+        const std::vector<Start> starts = {
+            {"none", 2, false, false, merged(fresh[0], 1)},
+            {"loaded", 2, true, false, merged(loaded, 1)},
+            {"staged", 3, true, true, merged(staged, 2)},
+        };
+
+        for (const Start &start : starts) {
+            spec.requests = start.generations * spec.swapInterval;
+            spec.loadState.clear();
+            if (start.load) {
+                policy::ServeState state;
+                state.serving = loaded;
+                state.hasStaging = start.stage;
+                state.staging = staged;
+                spec.loadState = dir.file(
+                    std::string(start.name) + std::to_string(shards));
+                state.saveFile(spec.loadState);
+            }
+
+            std::string serialLog;
+            for (const unsigned threads : {1u, 2u, 4u}) {
+                SCOPED_TRACE(std::string(start.name) + " shards " +
+                             std::to_string(shards) + " threads " +
+                             std::to_string(threads));
+                app::clearCampaignStop();
+                spec.threads = threads;
+                const serve::ServeResult r = serve::runServe(spec);
+                EXPECT_EQ(r.served, spec.requests);
+                EXPECT_EQ(r.hotSwaps, start.generations - 1);
+                ASSERT_TRUE(r.state.has_value());
+                EXPECT_EQ(r.state->servingGen, start.generations - 1);
+                EXPECT_FALSE(r.state->hasStaging);
+                EXPECT_EQ(tableBytes(r.state->serving),
+                          tableBytes(start.last));
+                if (threads == 1)
+                    serialLog = r.decisionLog;
+                EXPECT_EQ(r.decisionLog, serialLog);
+            }
+        }
+    }
+
+    // Two-term folds commute in floating point, so the shard order
+    // inside a generation only shows from three shards on.
+    serve::ServeSpec spec = baseServeSpec();
+    spec.requests = spec.swapInterval; // generation 0 only
+    spec.trainShards = 3;
+    spec.threads = 4;
+    app::clearCampaignStop();
+    const serve::ServeResult r = serve::runServe(spec);
+    ASSERT_TRUE(r.state.has_value());
+    EXPECT_EQ(tableBytes(r.state->serving),
+              tableBytes(referenceGeneration(spec, 0)));
+}
+
+TEST(ServeLoop, DrainWhileTrainingClaimsNothingMoreAndServesAPrefix)
+{
+    setQuiet(true);
+    test::TempDir dir("serve_drain");
+    for (const bool load : {false, true}) {
+        SCOPED_TRACE(load ? "loaded generation 0" : "training generation 0");
+        serve::ServeSpec spec = baseServeSpec();
+        spec.requests = 24;
+        spec.swapInterval = 6;
+        spec.threads = 2;
+        spec.trainShards = 2;
+        spec.trainIterations = 2; // jobs outlast the stop delay
+        if (load) {
+            policy::ServeState state;
+            state.serving = patternedModel(1.0);
+            spec.loadState = dir.file("gen0.state");
+            state.saveFile(spec.loadState);
+        }
+
+        // Trip the stop latch while the workers, waiting on a
+        // generation that is still training, run training jobs.
+        app::clearCampaignStop();
+        std::thread stopper([] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(100));
+            app::requestCampaignStop();
+        });
+        std::future<serve::ServeResult> pending = std::async(
+            std::launch::async, [&] { return serve::runServe(spec); });
+        if (pending.wait_for(std::chrono::minutes(5)) !=
+            std::future_status::ready) {
+            std::fprintf(stderr, "runServe did not drain\n");
+            std::abort();
+        }
+        const serve::ServeResult r = pending.get();
+        stopper.join();
+        app::clearCampaignStop();
+
+        EXPECT_TRUE(r.interrupted);
+        ASSERT_LT(r.served, spec.requests);
+        for (std::uint64_t seq = 0; seq < spec.requests; ++seq)
+            EXPECT_EQ(r.outcomes[seq].served, seq < r.served) << seq;
+        EXPECT_NE(r.decisionLog.find(
+                      "end served " + std::to_string(r.served) + "\n"),
+                  std::string::npos);
+
+        // The stop came before any job finished, so only the jobs
+        // claimed up front ran: one lookahead window, nothing more.
+        EXPECT_GE(r.trainingJobs, 1u);
+        EXPECT_LE(r.trainingJobs, spec.threads + 1);
+        EXPECT_EQ(r.hotSwaps, 0u);
+        if (load) {
+            ASSERT_TRUE(r.state.has_value());
+            EXPECT_EQ(r.state->servingGen, 0u);
+            EXPECT_EQ(tableBytes(r.state->serving),
+                      tableBytes(patternedModel(1.0)));
+        } else {
+            EXPECT_EQ(r.served, 0u);
+            EXPECT_FALSE(r.state.has_value());
+        }
+    }
 }

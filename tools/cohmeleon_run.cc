@@ -1069,10 +1069,13 @@ cmdServe(Args &args)
     if (!spec.decisionLog.empty())
         std::printf("\nwrote decision log %s\n",
                     spec.decisionLog.c_str());
-    if (!spec.saveState.empty())
+    if (!spec.saveState.empty() && result.state)
         std::printf("saved serving%s state to %s\n",
-                    result.state.hasStaging ? "+staging" : "",
+                    result.state->hasStaging ? "+staging" : "",
                     spec.saveState.c_str());
+    else if (!spec.saveState.empty())
+        std::printf("no state saved: drained before generation 0 "
+                    "was trained\n");
     return result.interrupted ? 130 : 0;
 }
 

@@ -50,11 +50,10 @@ main()
     app::EvalOptions opts;
     opts.appParams = app::denseTrainingParams();
 
-    soc::Soc namingSoc(cfg);
     const app::AppSpec trainApp = app::generateRandomApp(
-        namingSoc, Rng(opts.trainSeed), opts.appParams);
+        cfg, Rng(opts.trainSeed), opts.appParams);
     const app::AppSpec evalApp = app::generateRandomApp(
-        namingSoc, Rng(opts.evalSeed), opts.appParams);
+        cfg, Rng(opts.evalSeed), opts.appParams);
 
     // Baseline for normalization.
     policy::FixedPolicy baselinePolicy(coh::CoherenceMode::kNonCohDma);

@@ -63,9 +63,8 @@ evaluateOn(const policy::PolicyCheckpoint &model,
            const soc::SocConfig &cfg,
            const app::RandomAppParams &appParams)
 {
-    soc::Soc naming(cfg);
     const app::AppSpec evalApp =
-        app::generateRandomApp(naming, Rng(2022), appParams);
+        app::generateRandomApp(cfg, Rng(2022), appParams);
 
     policy::FixedPolicy baseline(coh::CoherenceMode::kNonCohDma);
     const app::AppResult base =

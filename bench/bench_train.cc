@@ -100,10 +100,9 @@ main()
 
     // Evaluation split: the restored model vs the baseline on a
     // fresh evaluation instance.
-    soc::Soc naming(cfg);
     app::EvalOptions eopts;
     const app::AppSpec evalApp = app::generateRandomApp(
-        naming, Rng(eopts.evalSeed), eopts.appParams);
+        cfg, Rng(eopts.evalSeed), eopts.appParams);
     policy::FixedPolicy baseline(coh::CoherenceMode::kNonCohDma);
     const app::AppResult base =
         app::runPolicyOnApp(baseline, cfg, evalApp);

@@ -326,28 +326,24 @@ runProtocolCell(const ScenarioSpec &s,
     // exactly makeProtocolApps(); file/figure apps replace the
     // evaluation side only (Cohmeleon still trains on a random
     // instance, per the paper's methodology).
-    AppSpec trainApp;
+    const AppSpec trainApp = generateRandomApp(
+        cfg, Rng(eopts.trainSeed),
+        eopts.trainAppParams.value_or(eopts.appParams));
     AppSpec evalApp;
-    {
-        soc::Soc naming(cfg);
-        trainApp = generateRandomApp(
-            naming, Rng(eopts.trainSeed),
-            eopts.trainAppParams.value_or(eopts.appParams));
-        switch (s.appSource) {
-          case AppSource::kRandom:
-            evalApp = generateRandomApp(naming, Rng(eopts.evalSeed),
-                                        eopts.appParams);
-            break;
-          case AppSource::kFile: {
-            std::ifstream in(s.appFile);
-            fatalIf(!in, "cannot open '", s.appFile, "'");
-            evalApp = parseAppSpec(in);
-            break;
-          }
-          case AppSource::kFigure:
-            evalApp = figureApp(s.figureName);
-            break;
-        }
+    switch (s.appSource) {
+      case AppSource::kRandom:
+        evalApp = generateRandomApp(cfg, Rng(eopts.evalSeed),
+                                    eopts.appParams);
+        break;
+      case AppSource::kFile: {
+        std::ifstream in(s.appFile);
+        fatalIf(!in, "cannot open '", s.appFile, "'");
+        evalApp = parseAppSpec(in);
+        break;
+      }
+      case AppSource::kFigure:
+        evalApp = figureApp(s.figureName);
+        break;
     }
     out.appName = evalApp.name;
 

@@ -214,23 +214,21 @@ runPolicyOnApp(rt::CoherencePolicy &policy, const soc::SocConfig &cfg,
 namespace
 {
 
-// The instances are derived from the SoC itself so that accelerator
-// names match; a throwaway Soc provides the name table
-// (generateRandomApp does not mutate it). These two helpers are the
-// only places the protocol's apps are derived from seeds.
+// The instances are named from the SoC config, so accelerator names
+// match the SoC the apps run on. These two helpers are the only
+// places the protocol's apps are derived from seeds.
 AppSpec
-trainAppFor(const soc::Soc &namingSoc, const EvalOptions &opts)
+trainAppFor(const soc::SocConfig &cfg, const EvalOptions &opts)
 {
     return generateRandomApp(
-        namingSoc, Rng(opts.trainSeed),
+        cfg, Rng(opts.trainSeed),
         opts.trainAppParams.value_or(opts.appParams));
 }
 
 AppSpec
-evalAppFor(const soc::Soc &namingSoc, const EvalOptions &opts)
+evalAppFor(const soc::SocConfig &cfg, const EvalOptions &opts)
 {
-    return generateRandomApp(namingSoc, Rng(opts.evalSeed),
-                             opts.appParams);
+    return generateRandomApp(cfg, Rng(opts.evalSeed), opts.appParams);
 }
 
 } // namespace
@@ -238,8 +236,7 @@ evalAppFor(const soc::Soc &namingSoc, const EvalOptions &opts)
 ProtocolApps
 makeProtocolApps(const soc::SocConfig &cfg, const EvalOptions &opts)
 {
-    soc::Soc namingSoc(cfg);
-    return {trainAppFor(namingSoc, opts), evalAppFor(namingSoc, opts)};
+    return {trainAppFor(cfg, opts), evalAppFor(cfg, opts)};
 }
 
 namespace
@@ -308,9 +305,8 @@ evaluatePoliciesOnApp(const soc::SocConfig &cfg, const EvalOptions &opts,
                       const AppSpec &evalApp,
                       std::vector<std::string> policyNames)
 {
-    soc::Soc namingSoc(cfg);
-    return evaluateOnApps(cfg, opts, trainAppFor(namingSoc, opts),
-                          evalApp, std::move(policyNames));
+    return evaluateOnApps(cfg, opts, trainAppFor(cfg, opts), evalApp,
+                          std::move(policyNames));
 }
 
 void

@@ -24,9 +24,10 @@ drawSizeClass(Rng &rng, const RandomAppParams &p)
 }
 
 AppSpec
-generateRandomApp(const soc::Soc &soc, Rng rng,
+generateRandomApp(const soc::SocConfig &cfg, Rng rng,
                   const RandomAppParams &params)
 {
+    cfg.validate();
     fatalIf(params.phases == 0, "application needs at least one phase");
     fatalIf(params.minThreads == 0 ||
                 params.minThreads > params.maxThreads,
@@ -34,7 +35,8 @@ generateRandomApp(const soc::Soc &soc, Rng rng,
     fatalIf(params.minChain == 0 || params.minChain > params.maxChain,
             "bad chain-length range");
 
-    const unsigned numAccs = soc.numAccs();
+    const std::vector<std::string> names = cfg.accNames();
+    const auto numAccs = static_cast<unsigned>(names.size());
     const unsigned maxThreads =
         std::min(params.maxThreads, numAccs);
     const unsigned minThreads = std::min(params.minThreads, maxThreads);
@@ -65,7 +67,7 @@ generateRandomApp(const soc::Soc &soc, Rng rng,
                           (2.0 * rng.uniformReal() - 1.0);
             std::uint64_t bytes = static_cast<std::uint64_t>(
                 std::llround(static_cast<double>(
-                                 sizeForClass(cls, soc.config())) *
+                                 sizeForClass(cls, cfg)) *
                              jitter));
             bytes = std::max<std::uint64_t>(bytes, 2 * kLineBytes);
 
@@ -81,8 +83,7 @@ generateRandomApp(const soc::Soc &soc, Rng rng,
 
             for (unsigned i = 0; i < chainLen; ++i) {
                 ChainStep step;
-                step.accName =
-                    soc.accelerator(ids[i]).config().name;
+                step.accName = names[ids[i]];
                 step.footprintBytes = bytes;
                 thread.chain.push_back(std::move(step));
             }

@@ -41,9 +41,23 @@ struct RandomAppParams
 /** Draw a size class according to the weights in @p p. */
 SizeClass drawSizeClass(Rng &rng, const RandomAppParams &p);
 
-/** Generate one random application instance for @p soc. */
-AppSpec generateRandomApp(const soc::Soc &soc, Rng rng,
+/**
+ * Generate one random application instance for SoC @p cfg. Chain
+ * steps name accelerators by cfg.accNames(), the names a Soc built
+ * from @p cfg gives its instances, so no Soc is needed to draw an app.
+ * @throws FatalError when @p cfg is inconsistent (SocConfig::validate)
+ *         or @p params describes no application
+ */
+AppSpec generateRandomApp(const soc::SocConfig &cfg, Rng rng,
                           const RandomAppParams &params = {});
+
+/** The same, for a caller that already holds a built @p soc. */
+inline AppSpec
+generateRandomApp(const soc::Soc &soc, Rng rng,
+                  const RandomAppParams &params = {})
+{
+    return generateRandomApp(soc.config(), rng, params);
+}
 
 } // namespace cohmeleon::app
 

@@ -50,9 +50,8 @@ trainShard(const soc::SocConfig &cfg, const TrainingOptions &opts,
     policy::CohmeleonPolicy policy(params);
 
     const std::uint64_t appSeed = experimentSeed(opts.trainSeed, shard);
-    soc::Soc naming(cfg);
     const AppSpec app =
-        generateRandomApp(naming, Rng(appSeed), opts.appParams);
+        generateRandomApp(cfg, Rng(appSeed), opts.appParams);
 
     for (unsigned it = 0; it < opts.iterations; ++it)
         runTrainingIteration(policy, cfg, app, opts.knobs);

@@ -14,15 +14,27 @@ VersionTracker::initDirectory(std::size_t capacity)
     while ((std::size_t{1} << (64 - hashShift_)) < capacity)
         --hashShift_;
     cachedKey_ = kEmptyKey;
-    cachedBlock_ = kNoBlock;
+    cachedBlock_ = nullptr;
 }
 
-VersionTracker::Block &
+VersionTracker::Block *
+VersionTracker::newBlock()
+{
+    const std::size_t chunk = blocksUsed_ / kChunkBlocks;
+    if (chunk == chunks_.size())
+        chunks_.push_back(std::make_unique<Block[]>(kChunkBlocks));
+    Block *b = &chunks_[chunk][blocksUsed_ % kChunkBlocks];
+    ++blocksUsed_;
+    *b = Block{}; // a chunk kept across reset() holds old stamps
+    return b;
+}
+
+VersionTracker::Block *
 VersionTracker::blockFor(Addr lineAddr)
 {
     const std::uint64_t key = blockKeyOf(lineAddr);
     if (key == cachedKey_)
-        return blocks_[cachedBlock_];
+        return cachedBlock_;
     const std::size_t mask = dir_.size() - 1;
     std::size_t idx = static_cast<std::size_t>(hashOf(key) >> hashShift_);
     while (true) {
@@ -30,19 +42,18 @@ VersionTracker::blockFor(Addr lineAddr)
         if (e.key == key) {
             cachedKey_ = key;
             cachedBlock_ = e.block;
-            return blocks_[e.block];
+            return e.block;
         }
         if (e.key == kEmptyKey) {
-            if (blocks_.size() >= growAt_) {
+            if (blocksUsed_ >= growAt_) {
                 growDirectory();
                 return blockFor(key << (kLineShift + kBlockShift));
             }
             e.key = key;
-            e.block = static_cast<std::uint32_t>(blocks_.size());
-            blocks_.emplace_back();
+            e.block = newBlock();
             cachedKey_ = key;
             cachedBlock_ = e.block;
-            return blocks_[e.block];
+            return e.block;
         }
         idx = (idx + 1) & mask;
     }
@@ -83,7 +94,7 @@ VersionTracker::reset()
 {
     counter_ = 0;
     violations_ = 0;
-    blocks_.clear();
+    blocksUsed_ = 0; // keep the chunks; newBlock() zeroes what it reuses
     initDirectory(kInitialDirCapacity);
     violationLog_.clear();
 }

@@ -16,18 +16,32 @@
  *
  * The tracker is charged on every line of every DMA burst, so its
  * storage is organized for burst locality: stamps live in blocks of
- * 64 consecutive lines ({latest[64], dram[64]} per block, allocated
- * on first write), reached through an open-addressed block directory
- * with a one-entry cache. A contiguous or moderately strided burst
- * resolves one directory probe per block instead of two node-based
- * map lookups per line. The DMA paths use the fused checkDramRead()
- * / bumpDramWrite() helpers, which touch the line's block once.
+ * 64 consecutive lines ({latest[64], dram[64]} per block, 1 KiB,
+ * handed out on first write), reached through an open-addressed block
+ * directory with a one-entry cache. A contiguous or moderately
+ * strided burst resolves one directory probe per block instead of two
+ * node-based map lookups per line. The DMA paths use the fused
+ * checkDramRead() / bumpDramWrite() helpers, which touch the line's
+ * block once.
+ *
+ * Blocks are carved from fixed chunks of 64 blocks (64 KiB) that are
+ * never moved or freed before the tracker is, so a Block pointer, held
+ * by the directory and the one-entry cache, stays valid for the
+ * tracker's life. A training SoC touches a few thousand blocks; one
+ * growing vector would need a 4 MB buffer (6 MB while it moves).
+ * glibc serves such buffers with mmap and, once one is freed, raises
+ * its mmap and trim thresholds, so every thread that ran a simulation
+ * would keep megabytes of freed memory resident. Chunks stay below
+ * the 128 KiB mmap threshold and are reused across reset(), which
+ * only rewinds the hand-out cursor; a block is zeroed when it is
+ * handed out.
  */
 
 #ifndef COHMELEON_MEM_VERSION_TRACKER_HH
 #define COHMELEON_MEM_VERSION_TRACKER_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -48,7 +62,7 @@ class VersionTracker
     {
         if (!enabled_)
             return 0;
-        return blockFor(lineAddr).latest[subOf(lineAddr)] = ++counter_;
+        return blockFor(lineAddr)->latest[subOf(lineAddr)] = ++counter_;
     }
 
     /** Newest stamp for @p lineAddr (0 if never written). */
@@ -72,7 +86,7 @@ class VersionTracker
     {
         if (!enabled_)
             return;
-        blockFor(lineAddr).dram[subOf(lineAddr)] = version;
+        blockFor(lineAddr)->dram[subOf(lineAddr)] = version;
     }
 
     /**
@@ -115,9 +129,9 @@ class VersionTracker
     {
         if (!enabled_)
             return;
-        Block &b = blockFor(lineAddr);
+        Block *b = blockFor(lineAddr);
         const unsigned sub = subOf(lineAddr);
-        b.latest[sub] = b.dram[sub] = ++counter_;
+        b->latest[sub] = b->dram[sub] = ++counter_;
     }
 
     std::uint64_t violations() const { return violations_; }
@@ -140,8 +154,9 @@ class VersionTracker
     static constexpr unsigned kBlockShift = 6;
     static constexpr std::size_t kBlockLines = std::size_t{1}
                                                << kBlockShift;
+    /** Blocks per chunk: 64 KiB, below glibc's mmap threshold. */
+    static constexpr std::size_t kChunkBlocks = 64;
     static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
-    static constexpr std::uint32_t kNoBlock = ~std::uint32_t{0};
 
     struct Block
     {
@@ -149,11 +164,11 @@ class VersionTracker
         std::uint64_t dram[kBlockLines] = {};
     };
 
-    /** Directory slot: block key -> index into blocks_. */
+    /** Directory slot: block key -> its block. */
     struct DirEntry
     {
         std::uint64_t key = kEmptyKey;
-        std::uint32_t block = kNoBlock;
+        Block *block = nullptr;
     };
 
     static std::uint64_t
@@ -182,7 +197,7 @@ class VersionTracker
     {
         const std::uint64_t key = blockKeyOf(lineAddr);
         if (key == cachedKey_)
-            return &blocks_[cachedBlock_];
+            return cachedBlock_;
         const std::size_t mask = dir_.size() - 1;
         std::size_t idx =
             static_cast<std::size_t>(hashOf(key) >> hashShift_);
@@ -191,7 +206,7 @@ class VersionTracker
             if (e.key == key) {
                 cachedKey_ = key;
                 cachedBlock_ = e.block;
-                return &blocks_[e.block];
+                return e.block;
             }
             if (e.key == kEmptyKey)
                 return nullptr;
@@ -199,7 +214,8 @@ class VersionTracker
         }
     }
 
-    Block &blockFor(Addr lineAddr); ///< insert-if-absent variant
+    Block *blockFor(Addr lineAddr); ///< insert-if-absent variant
+    Block *newBlock();              ///< next zeroed block
 
     void initDirectory(std::size_t capacity);
     void growDirectory();
@@ -210,11 +226,13 @@ class VersionTracker
     std::uint64_t counter_ = 0;
     std::uint64_t violations_ = 0;
     std::vector<DirEntry> dir_;
-    std::vector<Block> blocks_;
+    /** Fixed-size block arrays; never moved, kept across reset(). */
+    std::vector<std::unique_ptr<Block[]>> chunks_;
+    std::size_t blocksUsed_ = 0; ///< blocks handed out since reset()
     std::size_t growAt_ = 0;
     unsigned hashShift_ = 0; ///< 64 - log2(directory size)
     mutable std::uint64_t cachedKey_ = kEmptyKey;
-    mutable std::uint32_t cachedBlock_ = kNoBlock;
+    mutable Block *cachedBlock_ = nullptr;
     std::vector<std::string> violationLog_;
 };
 

@@ -1,5 +1,6 @@
 #include "serve/request_gen.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "app/parallel_runner.hh"
@@ -18,7 +19,8 @@ namespace
 /** A figure tenant's invocation stream: the app's chain steps
  *  flattened in execution order (phase, thread, loop, chain). */
 std::vector<app::ChainStep>
-flattenFigureApp(const std::string &name, const soc::Soc &soc)
+flattenFigureApp(const std::string &name, const soc::SocConfig &cfg,
+                 const std::vector<std::string> &accNames)
 {
     const app::AppSpec spec = app::figureApp(name);
     std::vector<app::ChainStep> steps;
@@ -31,15 +33,12 @@ flattenFigureApp(const std::string &name, const soc::Soc &soc)
     }
     fatalIf(steps.empty(), "figure app '", name,
             "' has no invocations to serve");
-    for (const app::ChainStep &step : steps) {
-        try {
-            soc.findAcc(step.accName);
-        } catch (const FatalError &) {
-            fatal("figure tenant '", name, "' invokes accelerator '",
-                  step.accName, "', which SoC '", soc.config().name,
-                  "' does not have");
-        }
-    }
+    for (const app::ChainStep &step : steps)
+        fatalIf(std::find(accNames.begin(), accNames.end(),
+                          step.accName) == accNames.end(),
+                "figure tenant '", name, "' invokes accelerator '",
+                step.accName, "', which SoC '", cfg.name,
+                "' does not have");
     return steps;
 }
 
@@ -63,11 +62,11 @@ generationCount(const ServeSpec &spec)
 }
 
 std::vector<ServeRequest>
-generateRequestTrace(const ServeSpec &spec, const soc::Soc &soc)
+generateRequestTrace(const ServeSpec &spec, const soc::SocConfig &cfg)
 {
     validateServeSpec(spec);
-    fatalIf(soc.numAccs() == 0, "SoC '", soc.config().name,
-            "' has no accelerators to serve requests on");
+    cfg.validate();
+    const std::vector<std::string> accNames = cfg.accNames();
 
     // Per-tenant invocation streams for the figure tenants.
     std::vector<std::vector<app::ChainStep>> figureSteps(
@@ -76,7 +75,7 @@ generateRequestTrace(const ServeSpec &spec, const soc::Soc &soc)
     for (std::size_t t = 0; t < spec.tenants.size(); ++t) {
         if (spec.tenants[t].source != "random")
             figureSteps[t] =
-                flattenFigureApp(spec.tenants[t].source, soc);
+                flattenFigureApp(spec.tenants[t].source, cfg, accNames);
         totalWeight += spec.tenants[t].weight;
     }
 
@@ -115,9 +114,7 @@ generateRequestTrace(const ServeSpec &spec, const soc::Soc &soc)
             app::experimentSeed(spec.seed, tenant + 1),
             req.seqInTenant));
         if (spec.tenants[tenant].source == "random") {
-            const unsigned acc =
-                static_cast<unsigned>(r.uniformInt(soc.numAccs()));
-            req.accName = soc.accelerator(acc).config().name;
+            req.accName = accNames[r.uniformInt(accNames.size())];
             const app::SizeClass cls =
                 app::drawSizeClass(r, sizeParams);
             const double jitter =
@@ -125,7 +122,7 @@ generateRequestTrace(const ServeSpec &spec, const soc::Soc &soc)
                           (2.0 * r.uniformReal() - 1.0);
             std::uint64_t bytes = static_cast<std::uint64_t>(
                 std::llround(static_cast<double>(app::sizeForClass(
-                                 cls, soc.config())) *
+                                 cls, cfg)) *
                              jitter));
             req.footprintBytes =
                 std::max<std::uint64_t>(bytes, 2 * kLineBytes);

@@ -5,7 +5,7 @@
  * The whole trace — which tenant each request belongs to, which
  * accelerator it invokes with what footprint, its virtual arrival
  * time, and which model generation must decide it — is generated up
- * front as a pure function of (ServeSpec, SoC preset). Workers then
+ * front as a pure function of (ServeSpec, SoC config). Workers then
  * claim trace slots in sequence order, so replaying the same spec
  * produces the same decisions at any thread count: nothing about a
  * request depends on when or on which thread it is served.
@@ -63,13 +63,15 @@ std::uint64_t generationOf(std::uint64_t seq, const ServeSpec &spec);
 std::uint64_t generationCount(const ServeSpec &spec);
 
 /**
- * Generate the full trace for @p spec. @p soc provides the
- * accelerator name table (any Soc built from the spec's preset).
- * @throws FatalError when a figure tenant's app references an
- *         accelerator the serving SoC does not have
+ * Generate the full trace for @p spec on SoC @p cfg (the spec's
+ * preset). Requests name accelerators by cfg.accNames(), the names a
+ * Soc built from @p cfg gives its instances.
+ * @throws FatalError when @p cfg is inconsistent (SocConfig::validate)
+ *         or a figure tenant's app references an accelerator the
+ *         serving SoC does not have
  */
-std::vector<ServeRequest> generateRequestTrace(const ServeSpec &spec,
-                                               const soc::Soc &soc);
+std::vector<ServeRequest>
+generateRequestTrace(const ServeSpec &spec, const soc::SocConfig &cfg);
 
 /** acquire() quota per generation for the swap-table handle: how
  *  many of @p trace's requests each generation decides. */

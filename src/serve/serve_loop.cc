@@ -8,9 +8,6 @@
 #include <sstream>
 #include <thread>
 #include <utility>
-#if defined(__GLIBC__)
-#include <malloc.h> // malloc_trim
-#endif
 
 #include "app/experiment.hh"
 #include "app/fault.hh"
@@ -254,13 +251,6 @@ class TrainingJobs
         app::TrainedShard shard =
             app::trainShard(cfg_, generationOptions(spec_, gen),
                             job % spec_.trainShards);
-#if defined(__GLIBC__)
-        // A training simulation grows its version-tracker tables
-        // through megabyte buffers; once glibc frees one it raises its
-        // trim threshold, so every thread's arena that trained would
-        // keep megabytes of free pages resident. Hand them back.
-        malloc_trim(0);
-#endif
         lock.lock();
         slots_[job % slots_.size()] = std::move(shard);
         cv_.notify_all();
@@ -348,10 +338,8 @@ runServe(const ServeSpec &spec)
     validateServeSpec(spec);
     const WallTimer sessionTimer;
     const soc::SocConfig cfg = soc::makeSocByName(spec.soc);
-    const soc::Soc namingSoc(cfg); // accelerator name table + figure
-                                   // tenant validation
     const std::vector<ServeRequest> trace =
-        generateRequestTrace(spec, namingSoc);
+        generateRequestTrace(spec, cfg);
 
     // Generation 0 and, when staged, 1 come from a loaded serving
     // checkpoint (taken as-is); every other generation is trained.

@@ -25,6 +25,18 @@ SocConfig::validate() const
                 a.type, "'");
 }
 
+std::vector<std::string>
+SocConfig::accNames() const
+{
+    std::vector<std::string> names;
+    names.reserve(accs.size());
+    for (std::size_t i = 0; i < accs.size(); ++i)
+        names.push_back(accs[i].name.empty()
+                            ? accs[i].type + std::to_string(i)
+                            : accs[i].name);
+    return names;
+}
+
 Soc::Soc(SocConfig cfg)
     : cfg_(std::move(cfg)),
       topo_(cfg_.meshCols, cfg_.meshRows),
@@ -52,15 +64,12 @@ Soc::Soc(SocConfig cfg)
     }
 
     // Accelerator tiles: engine + socket (bridge, TLB, optional L2).
-    std::vector<unsigned> typeCounts;
+    const std::vector<std::string> names = cfg_.accNames();
     for (std::size_t i = 0; i < cfg_.accs.size(); ++i) {
         const AccInstanceCfg &ic = cfg_.accs[i];
         const AccId id = static_cast<AccId>(i);
         const TileId tile = accTiles_[i];
-
-        std::string instName = ic.name;
-        if (instName.empty())
-            instName = ic.type + std::to_string(i);
+        const std::string &instName = names[i];
 
         acc::AccConfig accCfg =
             ic.profile ? acc::makeTrafficGen(instName, *ic.profile)

@@ -82,6 +82,12 @@ struct SocConfig
         return static_cast<std::uint64_t>(memTiles) * llcSliceBytes;
     }
 
+    /** Accelerator instance names in id order: an instance's
+     *  `name`, or its type followed by its index when that is empty.
+     *  Soc's accelerators carry exactly these names, so apps and
+     *  request traces are named from the config alone. */
+    std::vector<std::string> accNames() const;
+
     /** @throws FatalError on inconsistent configuration */
     void validate() const;
 };

@@ -365,12 +365,11 @@ TEST(Experiment, TrainingImprovesOverUntrained)
     params.agent.decayIterations = 3;
     policy::CohmeleonPolicy policy(params);
 
-    soc::Soc namingSoc(cfg);
     RandomAppParams ap;
     ap.phases = 2;
     ap.maxThreads = 3;
     const AppSpec trainApp =
-        generateRandomApp(namingSoc, Rng(1), ap);
+        generateRandomApp(cfg, Rng(1), ap);
     const auto perIter = trainCohmeleon(policy, cfg, trainApp, 3);
     EXPECT_EQ(perIter.size(), 3u);
     EXPECT_TRUE(policy.agent().frozen());

@@ -647,9 +647,8 @@ TEST(Transfer, TrainAcrossSocsIsThreadCountInvariant)
 
     // The merged model restores and evaluates on a third SoC.
     const auto policy = a.checkpoint.makePolicy();
-    soc::Soc naming(cfgs[0]);
     const AppSpec evalApp =
-        generateRandomApp(naming, Rng(7), topts.appParams);
+        generateRandomApp(cfgs[0], Rng(7), topts.appParams);
     const AppResult r =
         runPolicyOnApp(*policy, cfgs[0], evalApp);
     EXPECT_GT(r.totalExecCycles(), 0u);
@@ -758,11 +757,10 @@ TEST(AvailabilityMask, RuntimeMasksModesGlobally)
     RuntimeKnobs knobs;
     knobs.disabledModes = coh::maskOf(coh::CoherenceMode::kFullyCoh);
 
-    soc::Soc naming(cfg);
     RandomAppParams ap;
     ap.phases = 2;
     ap.maxThreads = 3;
-    const AppSpec appSpec = generateRandomApp(naming, Rng(3), ap);
+    const AppSpec appSpec = generateRandomApp(cfg, Rng(3), ap);
 
     // ...never gets it when the mask removes it.
     const AppResult masked =

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <unordered_map>
+#include <vector>
 
 #include "mem/addr_map.hh"
 #include "mem/cache_array.hh"
@@ -11,6 +13,7 @@
 #include "mem/page_allocator.hh"
 #include "mem/version_tracker.hh"
 #include "sim/logging.hh"
+#include "sim/rng.hh"
 
 using namespace cohmeleon;
 using namespace cohmeleon::mem;
@@ -366,4 +369,157 @@ TEST(VersionTracker, ResetForgetsHistory)
     v.reset();
     EXPECT_EQ(v.violations(), 0u);
     EXPECT_EQ(v.latest(0x40), 0u);
+}
+
+namespace
+{
+
+/** Line-granular reference for VersionTracker: one map entry per
+ *  written line, no blocks, chunks or directory. */
+struct TrackerReference
+{
+    std::unordered_map<Addr, std::uint64_t> latest;
+    std::unordered_map<Addr, std::uint64_t> dram;
+    std::uint64_t counter = 0;
+    std::uint64_t violations = 0;
+
+    static std::uint64_t
+    at(const std::unordered_map<Addr, std::uint64_t> &m, Addr a)
+    {
+        const auto it = m.find(a);
+        return it == m.end() ? 0 : it->second;
+    }
+};
+
+/** Every line of @p blocks 64-line blocks: half of them one
+ *  contiguous run, half scattered over a wide key space, so the
+ *  directory both fills densely and probes past collisions. */
+std::vector<Addr>
+trackerLines(Rng &rng, unsigned blocks)
+{
+    std::set<std::uint64_t> keys;
+    for (std::uint64_t k = 0; k < blocks / 2; ++k)
+        keys.insert(1000 + k);
+    while (keys.size() < blocks)
+        keys.insert(rng.uniformInt(std::uint64_t{1} << 24));
+    std::vector<Addr> lines;
+    for (const std::uint64_t key : keys) {
+        for (std::uint64_t sub = 0; sub < 64; ++sub)
+            lines.push_back(((key << 6) | sub) << kLineShift);
+    }
+    return lines;
+}
+
+/** Counts tracker reads that disagree with the reference; reports
+ *  only the first, so one bug does not print thousands of lines. */
+class TrackerCompare
+{
+  public:
+    void
+    expect(std::uint64_t got, std::uint64_t want, const char *what,
+           Addr a)
+    {
+        if (got != want && mismatches_++ == 0)
+            ADD_FAILURE() << what << " of line 0x" << std::hex << a
+                          << std::dec << ": " << got << " != " << want;
+    }
+
+    unsigned mismatches() const { return mismatches_; }
+
+  private:
+    unsigned mismatches_ = 0;
+};
+
+/** @p ops seeded random tracker calls on @p lines, mirrored on @p ref. */
+void
+driveTrackerMix(VersionTracker &v, TrackerReference &ref,
+                const std::vector<Addr> &lines, Rng &rng, unsigned ops,
+                TrackerCompare &cmp)
+{
+    for (unsigned op = 0; op < ops; ++op) {
+        const Addr a = lines[rng.uniformInt(lines.size())];
+        const std::uint64_t latest = TrackerReference::at(ref.latest, a);
+        const std::uint64_t dram = TrackerReference::at(ref.dram, a);
+        // Fresh half the time, else any stamp handed out so far.
+        const std::uint64_t held =
+            rng.bernoulli(0.5) ? latest : rng.uniformInt(ref.counter + 1);
+        switch (rng.uniformInt(7)) {
+          case 0:
+            cmp.expect(v.bumpLatest(a), ++ref.counter, "bumpLatest", a);
+            ref.latest[a] = ref.counter;
+            break;
+          case 1:
+            v.setDramVersion(a, held);
+            ref.dram[a] = held;
+            break;
+          case 2:
+            v.bumpDramWrite(a);
+            ref.latest[a] = ref.dram[a] = ++ref.counter;
+            break;
+          case 3:
+            cmp.expect(v.latest(a), latest, "latest", a);
+            break;
+          case 4:
+            cmp.expect(v.dramVersion(a), dram, "dramVersion", a);
+            break;
+          case 5:
+            v.checkRead(a, held, "mix");
+            ref.violations += held != latest;
+            break;
+          default:
+            v.checkDramRead(a, "mix");
+            ref.violations += dram != latest;
+            break;
+        }
+    }
+    cmp.expect(v.violations(), ref.violations, "violations", 0);
+}
+
+/** Both stamps of every line in @p lines against @p ref. */
+void
+expectLines(const VersionTracker &v, const TrackerReference &ref,
+            const std::vector<Addr> &lines, TrackerCompare &cmp)
+{
+    for (const Addr a : lines) {
+        cmp.expect(v.latest(a), TrackerReference::at(ref.latest, a),
+                   "latest", a);
+        cmp.expect(v.dramVersion(a), TrackerReference::at(ref.dram, a),
+                   "dramVersion", a);
+    }
+}
+
+} // namespace
+
+TEST(VersionTracker, MatchesLineMapAcrossChunksAndReset)
+{
+    Rng rng(2024);
+    // 400 blocks: more than six 64-block chunks, and the 256-slot
+    // directory grows twice (at 192 and 384 blocks).
+    const std::vector<Addr> lines = trackerLines(rng, 400);
+    VersionTracker v;
+    TrackerCompare cmp;
+
+    // Round 1: stamp both arrays of every line, so every block that
+    // is handed out holds nonzero stamps throughout, then the mix.
+    TrackerReference ref;
+    for (const Addr a : lines) {
+        v.bumpDramWrite(a);
+        ref.latest[a] = ref.dram[a] = ++ref.counter;
+    }
+    driveTrackerMix(v, ref, lines, rng, 200000, cmp);
+    expectLines(v, ref, lines, cmp);
+    EXPECT_GT(v.violations(), 0u);
+
+    // Round 2 reuses the chunks: every previously written line reads
+    // 0, and a block handed out again must not leak round-1 stamps
+    // into lines round 2 has not written.
+    v.reset();
+    EXPECT_EQ(v.violations(), 0u);
+    EXPECT_TRUE(v.violationLog().empty());
+    TrackerReference fresh;
+    expectLines(v, fresh, lines, cmp);
+    driveTrackerMix(v, fresh, lines, rng, 20000, cmp);
+    expectLines(v, fresh, lines, cmp);
+    EXPECT_LT(fresh.latest.size(), lines.size() / 2);
+    EXPECT_EQ(cmp.mismatches(), 0u);
 }

@@ -49,9 +49,8 @@ smallTrainedPolicy(const soc::SocConfig &cfg, unsigned iterations,
     policy::CohmeleonParams params;
     params.agent.decayIterations = 4;
     policy::CohmeleonPolicy policy(params);
-    soc::Soc naming(cfg);
     const app::AppSpec app =
-        app::generateRandomApp(naming, Rng(5), smallAppParams());
+        app::generateRandomApp(cfg, Rng(5), smallAppParams());
     for (unsigned it = 0; it < iterations; ++it)
         app::runTrainingIteration(policy, cfg, app);
     if (freeze)
@@ -70,12 +69,11 @@ TEST(Persistence, TrainedPolicySurvivesSaveLoad)
     params.agent.decayIterations = 3;
     policy::CohmeleonPolicy trained(params);
 
-    soc::Soc naming(cfg);
     app::RandomAppParams ap;
     ap.phases = 2;
     ap.maxThreads = 3;
     app::trainCohmeleon(trained, cfg,
-                        app::generateRandomApp(naming, Rng(5), ap), 3);
+                        app::generateRandomApp(cfg, Rng(5), ap), 3);
 
     std::stringstream persisted;
     trained.agent().table().save(persisted);
@@ -100,12 +98,11 @@ TEST(Persistence, RestoredPolicyRunsApplications)
     policy::CohmeleonParams params;
     params.agent.decayIterations = 2;
     policy::CohmeleonPolicy trained(params);
-    soc::Soc naming(cfg);
     app::RandomAppParams ap;
     ap.phases = 2;
     ap.maxThreads = 2;
     const app::AppSpec spec =
-        app::generateRandomApp(naming, Rng(9), ap);
+        app::generateRandomApp(cfg, Rng(9), ap);
     app::trainCohmeleon(trained, cfg, spec, 2);
 
     std::stringstream persisted;
@@ -167,9 +164,8 @@ TEST(Checkpoint, RestoredPolicyReproducesEvalDecisionsExactly)
     const policy::PolicyCheckpoint ckpt =
         policy::PolicyCheckpoint::capture(trained);
 
-    soc::Soc naming(cfg);
     const app::AppSpec evalApp =
-        app::generateRandomApp(naming, Rng(77), smallAppParams());
+        app::generateRandomApp(cfg, Rng(77), smallAppParams());
 
     const app::AppResult direct =
         app::runPolicyOnApp(trained, cfg, evalApp);
@@ -195,9 +191,8 @@ TEST(Checkpoint, ResumedTrainingMatchesUninterruptedTraining)
     // history — so train(2) + checkpoint + train(2) must equal
     // train(4) bit for bit.
     const soc::SocConfig cfg = test::tinySocConfig();
-    soc::Soc naming(cfg);
     const app::AppSpec app =
-        app::generateRandomApp(naming, Rng(5), smallAppParams());
+        app::generateRandomApp(cfg, Rng(5), smallAppParams());
 
     policy::CohmeleonParams params;
     params.agent.decayIterations = 4;
@@ -420,10 +415,9 @@ TEST(Checkpoint, PinnedV1AndV2FixturesMigrateAndResaveAsV3)
         EXPECT_EQ(resumed->agent().iteration(), 2u);
         EXPECT_FALSE(resumed->agent().frozen());
         const soc::SocConfig cfg = test::tinySocConfig();
-        soc::Soc naming(cfg);
         app::runTrainingIteration(
             *resumed, cfg,
-            app::generateRandomApp(naming, Rng(5), smallAppParams()));
+            app::generateRandomApp(cfg, Rng(5), smallAppParams()));
         EXPECT_EQ(resumed->agent().iteration(), 3u);
     }
 }
@@ -434,9 +428,8 @@ TEST(Checkpoint, V2ResumeIsBitExactAgainstFreshV3Training)
     // uninterrupted v3 run: same strategies, same RNG stream, same
     // visit counts.
     const soc::SocConfig cfg = test::tinySocConfig();
-    soc::Soc naming(cfg);
     const app::AppSpec app =
-        app::generateRandomApp(naming, Rng(5), smallAppParams());
+        app::generateRandomApp(cfg, Rng(5), smallAppParams());
 
     policy::CohmeleonParams params;
     params.agent.decayIterations = 4;
@@ -466,9 +459,8 @@ TEST(Checkpoint, PerceptronCheckpointRoundTripsAndResumes)
     // backend too: byte-exact round trip, and split training equals
     // uninterrupted training.
     const soc::SocConfig cfg = test::tinySocConfig();
-    soc::Soc naming(cfg);
     const app::AppSpec app =
-        app::generateRandomApp(naming, Rng(5), smallAppParams());
+        app::generateRandomApp(cfg, Rng(5), smallAppParams());
 
     policy::CohmeleonParams params;
     params.agent.decayIterations = 4;
@@ -507,9 +499,8 @@ TEST(Checkpoint, V1ResumeIsBitExactAgainstFreshTraining)
     // exploration stream), resume 2 more — must equal an
     // uninterrupted 4-iteration run with default strategies.
     const soc::SocConfig cfg = test::tinySocConfig();
-    soc::Soc naming(cfg);
     const app::AppSpec app =
-        app::generateRandomApp(naming, Rng(5), smallAppParams());
+        app::generateRandomApp(cfg, Rng(5), smallAppParams());
 
     policy::CohmeleonParams params;
     params.agent.decayIterations = 4;
@@ -539,9 +530,8 @@ TEST(Checkpoint, ResumeUnderVisitDrivenExplorationIsBitExact)
     // restored RNG stream, so a save/load mid-schedule must replay
     // both exactly.
     const soc::SocConfig cfg = test::tinySocConfig();
-    soc::Soc naming(cfg);
     const app::AppSpec app =
-        app::generateRandomApp(naming, Rng(5), smallAppParams());
+        app::generateRandomApp(cfg, Rng(5), smallAppParams());
 
     policy::CohmeleonParams params;
     params.agent.decayIterations = 4;
@@ -690,16 +680,15 @@ TEST(StatsDump, MentionsEveryComponent)
 TEST(ExperimentOptions, TrainAppParamsOverrideAppParams)
 {
     const soc::SocConfig cfg = test::tinySocConfig();
-    soc::Soc naming(cfg);
 
     app::EvalOptions opts;
     opts.appParams.phases = 2;
     opts.trainAppParams = app::denseTrainingParams();
 
     const app::AppSpec evalApp = app::generateRandomApp(
-        naming, Rng(opts.evalSeed), opts.appParams);
+        cfg, Rng(opts.evalSeed), opts.appParams);
     const app::AppSpec trainApp = app::generateRandomApp(
-        naming, Rng(opts.trainSeed), *opts.trainAppParams);
+        cfg, Rng(opts.trainSeed), *opts.trainAppParams);
     EXPECT_EQ(evalApp.phases.size(), 2u);
     EXPECT_EQ(trainApp.phases.size(),
               app::denseTrainingParams().phases);

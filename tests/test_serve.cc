@@ -242,9 +242,9 @@ TEST(RequestGen, TraceIsDeterministicAndQuotaCovers)
     const serve::ServeSpec spec = baseServeSpec();
     const soc::Soc soc(soc::makeSoc1());
     const std::vector<serve::ServeRequest> a =
-        serve::generateRequestTrace(spec, soc);
+        serve::generateRequestTrace(spec, soc.config());
     const std::vector<serve::ServeRequest> b =
-        serve::generateRequestTrace(spec, soc);
+        serve::generateRequestTrace(spec, soc.config());
 
     ASSERT_EQ(a.size(), spec.requests);
     for (std::size_t i = 0; i < a.size(); ++i) {
@@ -275,7 +275,7 @@ TEST(RequestGen, FigureTenantReplaysAppOnMatchingSoc)
 
     const soc::Soc soc(soc::makeSoc0());
     const std::vector<serve::ServeRequest> trace =
-        serve::generateRequestTrace(spec, soc);
+        serve::generateRequestTrace(spec, soc.config());
     ASSERT_EQ(trace.size(), spec.requests);
     for (const serve::ServeRequest &req : trace) {
         EXPECT_EQ(req.tenant, 0u);
@@ -290,9 +290,8 @@ TEST(RequestGen, FigureTenantOnSmallSocIsDiagnosed)
     spec.tenants.push_back({"fig5", 1.0, ""});
     serve::labelTenants(spec);
 
-    const soc::Soc soc(soc::makeSoc1());
     const std::string diag = diagnosticOf(
-        [&] { serve::generateRequestTrace(spec, soc); });
+        [&] { serve::generateRequestTrace(spec, soc::makeSoc1()); });
     EXPECT_NE(diag.find("fig5"), std::string::npos);
     EXPECT_NE(diag.find("tgen"), std::string::npos);
 }

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "serve/request_gen.hh"
 #include "soc/soc.hh"
 #include "soc/soc_presets.hh"
 #include "test_util.hh"
@@ -25,6 +26,49 @@ TEST(SocConfig, ValidateCatchesUnknownAccType)
     bad.type = "flux-capacitor";
     cfg.accs.push_back(std::move(bad));
     EXPECT_THROW(cfg.validate(), FatalError);
+}
+
+TEST(SocConfig, AccNamesAreTheBuiltSocsInstanceNames)
+{
+    std::vector<SocConfig> cfgs;
+    for (std::string_view name : knownSocNames())
+        cfgs.push_back(makeSocByName(name));
+    // Instances without a name are named type + index.
+    SocConfig unnamed = makeSoc5();
+    unnamed.name = "soc5-unnamed";
+    for (AccInstanceCfg &a : unnamed.accs)
+        a.name.clear();
+    cfgs.push_back(unnamed);
+
+    for (const SocConfig &cfg : cfgs) {
+        const std::vector<std::string> names = cfg.accNames();
+        const Soc soc(cfg);
+        ASSERT_EQ(names.size(), soc.numAccs()) << cfg.name;
+        for (AccId i = 0; i < soc.numAccs(); ++i)
+            EXPECT_EQ(names[i], soc.accelerator(i).config().name)
+                << cfg.name << " instance " << i;
+    }
+    EXPECT_EQ(unnamed.accNames()[3], unnamed.accs[3].type + "3");
+}
+
+TEST(SocConfig, FigureTenantOnMissingAcceleratorIsOneLine)
+{
+    // fig5 invokes tgen0..tgen11; soc1 has only tgen0..tgen6.
+    serve::ServeSpec spec;
+    spec.soc = "soc1";
+    spec.tenants = {{"fig5", 1.0, ""}};
+    serve::labelTenants(spec);
+    std::string diag;
+    try {
+        serve::generateRequestTrace(spec, makeSoc1());
+    } catch (const FatalError &e) {
+        diag = e.what();
+    }
+    EXPECT_NE(diag.find("figure tenant 'fig5' invokes accelerator "
+                        "'tgen7', which SoC 'soc1' does not have"),
+              std::string::npos)
+        << diag;
+    EXPECT_EQ(diag.find('\n'), std::string::npos) << diag;
 }
 
 TEST(SocConfig, TotalLlcIsSliceTimesMemTiles)

@@ -121,12 +121,11 @@ TEST(TrainingDriver, EvaluateIsAPureFunction)
     const app::TrainingResult r =
         driver.train(cfg, tinyTrainingOptions());
 
-    soc::Soc naming(cfg);
     app::RandomAppParams ap;
     ap.phases = 2;
     ap.maxThreads = 3;
     const app::AppSpec evalApp =
-        app::generateRandomApp(naming, Rng(99), ap);
+        app::generateRandomApp(cfg, Rng(99), ap);
 
     const app::AppResult a =
         app::TrainingDriver::evaluate(r.checkpoint, cfg, evalApp);
@@ -149,12 +148,11 @@ TEST(TrainingDriver, EvaluateAfterSaveLoadMatchesDirectEvaluate)
     const app::TrainingResult r =
         driver.train(cfg, tinyTrainingOptions());
 
-    soc::Soc naming(cfg);
     app::RandomAppParams ap;
     ap.phases = 2;
     ap.maxThreads = 3;
     const app::AppSpec evalApp =
-        app::generateRandomApp(naming, Rng(99), ap);
+        app::generateRandomApp(cfg, Rng(99), ap);
 
     const app::AppResult direct =
         app::TrainingDriver::evaluate(r.checkpoint, cfg, evalApp);
@@ -182,12 +180,11 @@ TEST(TrainingDriver, FrozenEvaluationDoesNotLearn)
     const app::TrainingResult r =
         driver.train(cfg, tinyTrainingOptions());
 
-    soc::Soc naming(cfg);
     app::RandomAppParams ap;
     ap.phases = 2;
     ap.maxThreads = 3;
     const app::AppSpec evalApp =
-        app::generateRandomApp(naming, Rng(99), ap);
+        app::generateRandomApp(cfg, Rng(99), ap);
 
     const auto policy = r.checkpoint.makePolicy();
     const std::uint64_t visitsBefore =

@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
 """CI bench-regression gate.
 
-Compares the throughput fields of freshly produced BENCH_*.json files
-against the committed baselines under bench/baselines/ and fails when
-any gated field regressed beyond the tolerance (default 40% -- the
-gate is meant to catch real regressions, not runner jitter).
+Compares freshly produced BENCH_*.json files against the committed
+baselines under bench/baselines/. Two kinds of field are gated:
 
-Only machine-independent ratio fields (speedups, geomeans) are gated:
-absolute events/sec numbers vary wildly between the committed
+- ratio fields (speedups, geomeans) fail when they fall more than the
+  tolerance below the baseline (default 40% -- the gate is meant to
+  catch real regressions, not runner jitter);
+- deterministic counts fail on any difference, in either direction:
+  the same spec reproduces them exactly on any machine, so a changed
+  count is a changed program, never noise.
+
+Absolute events/sec numbers vary wildly between the committed
 baseline's machine and whatever runner CI lands on, so they are
 printed for context but never fail the build.
 
@@ -28,10 +32,10 @@ import pathlib
 import shutil
 import sys
 
-# field -> higher-is-better, per bench file. Every gated field is a
-# ratio of two measurements taken on the same machine in the same
-# run, which makes it comparable across machines.
-GATED_FIELDS = {
+# Ratio fields, higher is better, per bench file. Each is a ratio of
+# two measurements taken on the same machine in the same run, which
+# makes it comparable across machines.
+RATIO_FIELDS = {
     "BENCH_kernel.json": ["kernel_speedup", "mixed_speedup"],
     "BENCH_mem.json": [
         "non_coh_dma_speedup",
@@ -41,9 +45,12 @@ GATED_FIELDS = {
         "burst_speedup_geomean",
     ],
     "BENCH_train.json": ["speedup"],
-    # The serve fields are deterministic counts (same spec -> same
-    # trace -> same schedule), so they reproduce exactly on any
-    # machine; the latency quantiles stay info-only.
+}
+
+# Deterministic counts, per bench file: they must equal the baseline.
+EXACT_FIELDS = {
+    # Same spec -> same trace -> same schedule; the latency quantiles
+    # stay info-only.
     "BENCH_serve.json": [
         "served",
         "generations",
@@ -60,6 +67,8 @@ GATED_FIELDS = {
         "sh4.perceptron.entries_covered",
     ],
 }
+
+GATED_FILES = list(dict.fromkeys([*RATIO_FIELDS, *EXACT_FIELDS]))
 
 # Context-only fields shown in the report when present.
 INFO_SUFFIXES = ("_per_sec", "_seconds")
@@ -84,10 +93,10 @@ def load(path):
     return data
 
 
-def gated_value(name, field, data, where):
-    """A gated field must be a finite positive number: a NaN, zero, or
-    non-numeric value would make every comparison vacuously pass and
-    turn the gate into a no-op."""
+def gated_value(name, field, data, where, positive=True):
+    """A gated field must be a finite number, and a ratio field a
+    positive one: a NaN, zero, or non-numeric value would make every
+    floor comparison vacuously pass and turn the gate into a no-op."""
     value = data[field]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SystemExit(
@@ -98,7 +107,7 @@ def gated_value(name, field, data, where):
         raise SystemExit(
             f"fatal: {name}:{field} in the {where} is {value} "
             f"(broken bench run?)")
-    if value <= 0.0:
+    if positive and value <= 0.0:
         raise SystemExit(
             f"fatal: {name}:{field} in the {where} is {value}; gated "
             f"speedups are positive ratios, so the gate would pass "
@@ -114,7 +123,8 @@ def main():
     parser.add_argument("--baselines", default="bench/baselines",
                         help="directory holding the committed baselines")
     parser.add_argument("--tolerance", type=float, default=0.40,
-                        help="allowed relative regression (0.40 = 40%%)")
+                        help="allowed relative regression of a ratio "
+                             "field (0.40 = 40%%)")
     parser.add_argument("--update", action="store_true",
                         help="copy fresh results over the baselines "
                              "instead of checking")
@@ -130,7 +140,7 @@ def main():
 
     if args.update:
         baselines.mkdir(parents=True, exist_ok=True)
-        for name in GATED_FIELDS:
+        for name in GATED_FILES:
             src = results / name
             if not src.exists():
                 print(f"warning: {src} missing, baseline not updated")
@@ -142,7 +152,7 @@ def main():
     failures = []
     warnings = []
     checks = []  # per-field comparison rows for --json
-    for name, fields in GATED_FIELDS.items():
+    for name in GATED_FILES:
         base_path = baselines / name
         result_path = results / name
         if not base_path.exists():
@@ -155,8 +165,11 @@ def main():
         base = load(base_path)
         result = load(result_path)
 
-        print(f"--- {name} (tolerance {args.tolerance:.0%}) ---")
-        for field in fields:
+        print(f"--- {name} (ratio tolerance {args.tolerance:.0%}, "
+              f"counts exact) ---")
+        gated = [(f, False) for f in RATIO_FIELDS.get(name, [])] + \
+            [(f, True) for f in EXACT_FIELDS.get(name, [])]
+        for field, exact in gated:
             if field not in base:
                 failures.append(f"{name}:{field} missing from the "
                                 "baseline (re-baseline?)")
@@ -165,16 +178,32 @@ def main():
                 failures.append(f"{name}:{field} missing from the "
                                 "bench output")
                 continue
-            b = gated_value(name, field, base, "baseline")
-            r = gated_value(name, field, result, "bench output")
+            b = gated_value(name, field, base, "baseline", not exact)
+            r = gated_value(name, field, result, "bench output",
+                            not exact)
+            if exact:
+                ok = r == b
+                checks.append({"bench": name, "field": field,
+                               "baseline": b, "value": r,
+                               "exact": True, "ok": ok})
+                print(f"  {field:28s} baseline {b:10.4f}  "
+                      f"now {r:10.4f}  exact       "
+                      f"{'ok' if ok else 'CHANGED'}")
+                if not ok:
+                    failures.append(
+                        f"{name}:{field} changed: {r:.4f} != "
+                        f"{b:.4f} (deterministic count, gated "
+                        "exactly)")
+                continue
             floor = b * (1.0 - args.tolerance)
-            status = "ok" if r >= floor else "REGRESSED"
+            ok = r >= floor
             checks.append({"bench": name, "field": field,
                            "baseline": b, "value": r,
-                           "floor": floor, "ok": r >= floor})
+                           "floor": floor, "ok": ok})
             print(f"  {field:28s} baseline {b:10.4f}  "
-                  f"now {r:10.4f}  floor {floor:10.4f}  {status}")
-            if r < floor:
+                  f"now {r:10.4f}  floor {floor:10.4f}  "
+                  f"{'ok' if ok else 'REGRESSED'}")
+            if not ok:
                 failures.append(
                     f"{name}:{field} regressed: {r:.4f} < "
                     f"{floor:.4f} (baseline {b:.4f} - "
@@ -185,16 +214,16 @@ def main():
                 print(f"  {field:28s} now {value:14.4f}  (info only)")
 
     # A committed baseline nothing compares against is a gate hole:
-    # usually a renamed bench whose GATED_FIELDS entry (or run step)
-    # was not updated. Warn loudly, but do not fail -- the stale file
+    # usually a renamed bench whose RATIO_FIELDS/EXACT_FIELDS entry (or
+    # run step) was not updated. Warn loudly, but do not fail -- the stale file
     # may be intentional during a migration.
     if baselines.is_dir():
         for stray in sorted(baselines.glob("BENCH_*.json")):
-            if stray.name not in GATED_FIELDS:
+            if stray.name not in GATED_FILES:
                 warnings.append(
                     f"{stray} has no matching bench in this run "
-                    "(stale baseline? update GATED_FIELDS or delete "
-                    "it)")
+                    "(stale baseline? update RATIO_FIELDS/EXACT_FIELDS "
+                    "or delete it)")
     for w in warnings:
         print(f"warning: {w}")
 

@@ -348,8 +348,7 @@ runProtocolCell(const ScenarioSpec &s,
     out.appName = evalApp.name;
 
     const bool wantsModelFlow =
-        !s.loadModel.empty() || !s.loadQtable.empty() ||
-        !s.saveModel.empty() || !s.saveQtable.empty() ||
+        !s.loadModel.empty() || !s.saveModel.empty() ||
         s.trainShards > 0 ||
         (transferModels != nullptr && s.policy == "cohmeleon");
 
@@ -375,7 +374,6 @@ runProtocolCell(const ScenarioSpec &s,
         dynamic_cast<policy::CohmeleonPolicy *>(policy.get());
     fatalIf(cohm == nullptr &&
                 (!s.loadModel.empty() || !s.saveModel.empty() ||
-                 !s.loadQtable.empty() || !s.saveQtable.empty() ||
                  s.trainShards > 0),
             "the model/training options only apply to the cohmeleon "
             "policy (cell '", s.name, "' runs ", s.policy, ")");
@@ -416,33 +414,15 @@ runProtocolCell(const ScenarioSpec &s,
             t.source = TrainSummary::Source::kTransfer;
             modelMerge = ckpt.merge;
             summarizeModel(t, ckpt);
-        } else if (!s.loadQtable.empty()) {
-            std::ifstream in(s.loadQtable);
-            fatalIf(!in, "cannot open '", s.loadQtable, "'");
-            cohm->agent().table().load(in);
-            cohm->freeze();
-            t.source = TrainSummary::Source::kLoaded;
-            t.qUpdates = cohm->agent().table().totalVisits();
-            t.entriesCovered = cohm->agent().table().updatedEntries();
         } else if (s.trainShards > 0) {
             // Sharded deterministic training, serial inside the cell
             // (cells themselves are the parallel unit). The model is
             // a pure function of the spec — byte-identical to any
-            // --train-jobs width of the standalone driver.
-            TrainingOptions topts;
-            topts.iterations = eopts.trainIterations;
-            topts.shards = s.trainShards;
-            topts.trainSeed = s.trainSeed;
-            topts.agentSeed = s.agentSeed;
-            topts.merge = s.merge;
-            topts.explore = s.explore;
-            topts.model = effectiveModelSpec(s);
-            topts.appParams =
-                eopts.trainAppParams.value_or(eopts.appParams);
-            topts.knobs = knobs;
+            // --jobs width of the `train` subcommand.
             ParallelRunner serial(1);
             TrainingDriver driver(serial);
-            const TrainingResult tres = driver.train(cfg, topts);
+            const TrainingResult tres =
+                driver.train(cfg, trainingOptionsOf(s));
             auto trained = tres.checkpoint.makePolicy();
             cohm = trained.get();
             policy = std::move(trained);
@@ -460,11 +440,6 @@ runProtocolCell(const ScenarioSpec &s,
             t.qUpdates = cohm->agent().model().totalVisits();
             t.entriesCovered = cohm->agent().model().updatedEntries();
             t.iteration = eopts.trainIterations;
-        }
-        if (!s.saveQtable.empty()) {
-            std::ofstream qout(s.saveQtable);
-            fatalIf(!qout, "cannot open '", s.saveQtable, "'");
-            cohm->agent().table().save(qout);
         }
         if (!s.saveModel.empty()) {
             policy::PolicyCheckpoint snap =
@@ -492,11 +467,11 @@ runCell(const ScenarioSpec &s, const TransferModels *transferModels)
 // ----------------------------------------------------- the run plan
 
 /** Everything every execution mode (in-process, fleet supervisor,
- *  fleet worker) derives from (spec, opts) before running: the
+ *  fleet worker) derives from the spec before running: the
  *  expansion, the deterministic slot numbering persistence keys on,
- *  the resolved harness knobs, and the resume identity. A pure
- *  function of its inputs, so supervisor and workers agree on all of
- *  it without sharing memory. */
+ *  the lease TTL, and the resume identity. A pure function of the
+ *  spec, so supervisor and workers agree on all of it without
+ *  sharing memory. */
 struct CampaignPlan
 {
     std::vector<ExpandedCell> expanded;
@@ -505,14 +480,11 @@ struct CampaignPlan
     std::vector<std::string> slotKeys;    ///< canonical text per slot
     std::vector<std::string> slotNames;   ///< representative names
     std::string identityText;
-    unsigned maxRetries = 0;
-    FaultPlan fault;
     double leaseTtlSec = 30.0;
-    double cellTimeoutSec = 0.0;
 };
 
 CampaignPlan
-planCampaign(const CampaignSpec &spec, const CampaignRunOptions &opts)
+planCampaign(const CampaignSpec &spec)
 {
     CampaignPlan plan;
     plan.expanded = expandCells(spec);
@@ -537,19 +509,8 @@ planCampaign(const CampaignSpec &spec, const CampaignRunOptions &opts)
         plan.cellSlot[i] = it->second;
     }
 
-    // The effective execution harness: CLI options override the
-    // spec's own harness keys.
-    plan.maxRetries =
-        opts.maxRetries == CampaignRunOptions::kRetriesFromSpec
-            ? spec.maxRetries
-            : opts.maxRetries;
-    plan.fault = opts.fault.active() ? opts.fault : spec.fault;
-    plan.leaseTtlSec = opts.leaseTtlSec > 0.0   ? opts.leaseTtlSec
-                       : spec.leaseTtlSec > 0.0 ? spec.leaseTtlSec
-                                                : 30.0;
-    plan.cellTimeoutSec = opts.cellTimeoutSec > 0.0
-                              ? opts.cellTimeoutSec
-                              : spec.cellTimeoutSec;
+    if (spec.leaseTtlSec > 0.0)
+        plan.leaseTtlSec = spec.leaseTtlSec;
 
     // The campaign's identity for resume validation excludes every
     // harness key — resuming with different fault/retry/fleet flags
@@ -586,17 +547,12 @@ trainTransferModels(const CampaignSpec &spec,
         const std::string key = strategyKey(c.spec);
         if (transferModels.count(key))
             continue;
-        TrainingOptions topts;
+        TrainingOptions topts = trainingOptionsOf(spec.base);
         topts.iterations = spec.transfer.iterations;
         topts.shards = spec.transfer.shardsPerSoc;
-        topts.trainSeed = spec.base.trainSeed;
-        topts.agentSeed = spec.base.agentSeed;
         topts.merge = c.spec.merge;
         topts.explore = c.spec.explore;
         topts.model = effectiveModelSpec(c.spec);
-        if (spec.base.trainApp == TrainAppShape::kSameAsEval)
-            topts.appParams = spec.base.appParams;
-        topts.knobs = knobsOf(spec.base);
         const TrainingResult tres =
             trainAcrossSocs(cfgs, topts, runner);
         // With a strategy sweep, save-model keeps the first
@@ -807,10 +763,10 @@ CampaignResult
 CampaignRunner::run(const CampaignSpec &spec,
                     const CampaignRunOptions &opts)
 {
-    const CampaignPlan plan = planCampaign(spec, opts);
+    const CampaignPlan plan = planCampaign(spec);
     const std::vector<ExpandedCell> &expanded = plan.expanded;
     const std::vector<std::size_t> &uniqueCells = plan.uniqueCells;
-    FaultInjector injector(plan.fault);
+    FaultInjector injector(spec.fault);
 
     fatalIf(opts.resume && opts.stateDir.empty(),
             "--resume needs a state directory");
@@ -864,7 +820,7 @@ CampaignRunner::run(const CampaignSpec &spec,
         const ScenarioSpec &cellSpec =
             expanded[uniqueCells[slot]].spec;
         const CellResult result = runCellAttempts(
-            cellSpec, slot, 1, plan.maxRetries, injector, merged);
+            cellSpec, slot, 1, spec.maxRetries, injector, merged);
         unique[slot] = result;
         if (state)
             state->record(slot, cellSpec.name, result, &injector);
@@ -907,6 +863,23 @@ runScenario(const ScenarioSpec &spec)
     return runCell(spec, nullptr);
 }
 
+TrainingOptions
+trainingOptionsOf(const ScenarioSpec &s)
+{
+    TrainingOptions t;
+    t.iterations = std::max(1u, s.trainIterations);
+    t.shards = s.trainShards;
+    t.trainSeed = s.trainSeed;
+    t.agentSeed = s.agentSeed;
+    t.merge = s.merge;
+    t.explore = s.explore;
+    t.model = effectiveModelSpec(s);
+    if (s.trainApp == TrainAppShape::kSameAsEval)
+        t.appParams = s.appParams;
+    t.knobs = knobsOf(s);
+    return t;
+}
+
 // ------------------------------------------------ the worker fleet
 
 int
@@ -916,8 +889,8 @@ runCampaignWorker(const CampaignSpec &spec,
     fatalIf(opts.stateDir.empty(),
             "a campaign worker needs a state directory");
     installCampaignSignalHandlers();
-    const CampaignPlan plan = planCampaign(spec, opts);
-    FaultInjector injector(plan.fault);
+    const CampaignPlan plan = planCampaign(spec);
+    FaultInjector injector(spec.fault);
 
     CampaignStateDir state(opts.stateDir);
     const std::size_t alreadyDone =
@@ -953,7 +926,7 @@ runCampaignWorker(const CampaignSpec &spec,
             plan.expanded[plan.uniqueCells[claim->slot]].spec;
         const CellResult result = runCellAttempts(
             cellSpec, claim->slot, claim->priorKills + 1,
-            plan.maxRetries, injector, merged);
+            spec.maxRetries, injector, merged);
         state.record(claim->slot, cellSpec.name, result, &injector);
         hb.disarm();
         state.release(claim->slot);
@@ -967,10 +940,10 @@ superviseCampaignFleet(const CampaignSpec &spec,
 {
     fatalIf(opts.stateDir.empty(),
             "a campaign worker fleet needs a state directory");
-    fatalIf(opts.workers == 0,
+    fatalIf(spec.workers == 0,
             "superviseCampaignFleet() needs workers > 0");
     installCampaignSignalHandlers();
-    const CampaignPlan plan = planCampaign(spec, opts);
+    const CampaignPlan plan = planCampaign(spec);
     const std::size_t nSlots = plan.uniqueCells.size();
 
     CampaignStateDir state(opts.stateDir);
@@ -1015,7 +988,7 @@ superviseCampaignFleet(const CampaignSpec &spec,
 
     std::vector<pid_t> children;
     const std::size_t fleet =
-        std::min<std::size_t>(opts.workers, nSlots - done);
+        std::min<std::size_t>(spec.workers, nSlots - done);
     for (std::size_t i = 0; i < fleet; ++i)
         children.push_back(spawn());
 
@@ -1033,9 +1006,9 @@ superviseCampaignFleet(const CampaignSpec &spec,
         // The --cell-timeout watchdog: claim age, not heartbeat age
         // (a wedged worker keeps heartbeating). Kill once; the reap
         // path below does the accounting.
-        if (plan.cellTimeoutSec > 0.0) {
+        if (spec.cellTimeoutSec > 0.0) {
             for (const CampaignStateDir::LeaseInfo &lease :
-                 state.overdueClaims(plan.cellTimeoutSec)) {
+                 state.overdueClaims(spec.cellTimeoutSec)) {
                 const bool ours =
                     std::find(children.begin(), children.end(),
                               static_cast<pid_t>(lease.pid)) !=
@@ -1073,7 +1046,7 @@ superviseCampaignFleet(const CampaignSpec &spec,
                 state.reclaimWorkerLease(pid);
             if (byWatchdog)
                 watchdogShots.erase(shot);
-            if (lost && lost->priorKills > plan.maxRetries) {
+            if (lost && lost->priorKills > spec.maxRetries) {
                 const ScenarioSpec &cellSpec =
                     plan.expanded[plan.uniqueCells[lost->slot]].spec;
                 CellResult failed;

@@ -29,6 +29,7 @@
 #include "app/fault.hh"
 #include "app/parallel_runner.hh"
 #include "app/scenario.hh"
+#include "app/training_driver.hh"
 #include "sim/json_writer.hh"
 
 namespace cohmeleon::app
@@ -51,7 +52,7 @@ struct TrainSummary
         kNone,     ///< the policy does not learn
         kOnline,   ///< trained online inside the cell
         kSharded,  ///< sharded deterministic training inside the cell
-        kLoaded,   ///< restored from a checkpoint/Q-table file
+        kLoaded,   ///< restored from a checkpoint file
         kTransfer, ///< the campaign's merged cross-SoC model
     };
 
@@ -124,16 +125,15 @@ struct CampaignResult
 };
 
 /**
- * Execution-harness options for one campaign run: persistence,
- * resumability, retries, and fault injection. None of them changes
- * what a cell computes — a resumed or retried campaign renders JSON
- * byte-identical to an uninterrupted run of the same spec.
+ * The execution-harness options that are not campaign keys:
+ * persistence, resumability, and the fleet's respawn patience (the
+ * retry budget, fault plan and fleet knobs are CampaignSpec keys).
+ * None of them changes what a cell computes — a resumed campaign
+ * renders JSON byte-identical to an uninterrupted run of the same
+ * spec.
  */
 struct CampaignRunOptions
 {
-    /** Sentinel for maxRetries: take the CampaignSpec's value. */
-    static constexpr unsigned kRetriesFromSpec = UINT32_MAX;
-
     /** Campaign state directory (cell results + manifest stream into
      *  it as cells complete). Empty = in-memory only. */
     std::string stateDir;
@@ -141,29 +141,6 @@ struct CampaignRunOptions
     /** Validate stateDir against the spec and skip the cells its
      *  manifest records as complete. Requires stateDir. */
     bool resume = false;
-
-    /** Per-cell retry budget for throwing cells (attempts = retries
-     *  + 1). kRetriesFromSpec defers to spec.maxRetries. */
-    unsigned maxRetries = kRetriesFromSpec;
-
-    /** Injected fault; an inactive plan defers to spec.fault. */
-    FaultPlan fault;
-
-    /** Worker-fleet size for superviseCampaignFleet(). 0 defers to
-     *  spec.workers (and 0 there means no fleet — cells run
-     *  in-process). Requires stateDir. */
-    unsigned workers = 0;
-
-    /** Seconds without a heartbeat before a worker's lease is
-     *  presumed orphaned and reclaimed. 0 defers to spec.leaseTtlSec,
-     *  then to the 30 s default. */
-    double leaseTtlSec = 0.0;
-
-    /** Per-cell wall-clock watchdog (seconds): the supervisor
-     *  SIGKILLs a worker whose claim is older and contains the hung
-     *  cell exactly like a crashed attempt. 0 defers to
-     *  spec.cellTimeoutSec (0 there = no watchdog). */
-    double cellTimeoutSec = 0.0;
 
     /** How many abnormal worker deaths the supervisor replaces before
      *  giving up (throwing CampaignIncomplete once no worker is
@@ -218,18 +195,26 @@ class CampaignRunner
 CellResult runScenario(const ScenarioSpec &spec);
 
 /**
+ * The sharded-training knobs a scenario describes: iterations (at
+ * least 1, as the protocol trains), shards, seeds, strategies, the
+ * learned-model backend (a "cohmeleon@MODEL" policy overrides the
+ * model key), the training-app shape and the runtime perturbations.
+ */
+TrainingOptions trainingOptionsOf(const ScenarioSpec &spec);
+
+/**
  * Supervised multi-process campaign execution: fork
- * opts.workers worker processes (each runs runCampaignWorker() and
+ * spec.workers worker processes (each runs runCampaignWorker() and
  * _Exit()s), then supervise — reap exits, reclaim the leases of dead
  * workers (bumping the cross-process attempt counter), respawn
  * abnormal deaths within opts.respawnBudget, SIGKILL workers whose
- * cell outlives opts.cellTimeoutSec, contain cells whose attempt
+ * cell outlives spec.cellTimeoutSec, contain cells whose attempt
  * budget is exhausted as recorded failures, and forward
  * SIGINT/SIGTERM to the fleet so an interrupted run flushes and
  * resumes exactly like the in-process path.
  *
  * Call from a single-threaded process (it forks), with
- * opts.stateDir set and opts.workers > 0. On return every slot is in
+ * opts.stateDir set and spec.workers > 0. On return every slot is in
  * the manifest; re-run CampaignRunner::run with resume=true and no
  * fault to assemble the result — byte-identical to an in-process run
  * by construction.

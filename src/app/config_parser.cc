@@ -71,6 +71,8 @@ parseSize(const std::string &text)
 void
 lineFatal(unsigned lineNo, const std::string &msg)
 {
+    if (lineNo == 0)
+        fatal(msg);
     fatal("line ", lineNo, ": ", msg);
 }
 

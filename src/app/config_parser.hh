@@ -54,10 +54,11 @@ std::uint64_t parseSize(const std::string &text);
 // parse(serialize(x)) == x — for free when it grows a key.
 // ------------------------------------------------------------------
 
-/** One parsed physical line: a section header or a key=value pair. */
+/** One parsed physical line: a section header or a key=value pair.
+ *  A command-line flag is a line too (`--KEY VALUE`, no = 0). */
 struct ConfigLine
 {
-    unsigned no = 0;
+    unsigned no = 0; ///< 1-based line number; 0 = not from a file
     bool isSection = false;
     std::string section;    ///< header word ("axes", "cell", ...)
     std::string sectionArg; ///< rest of the header ("cell NAME")
@@ -65,9 +66,9 @@ struct ConfigLine
     std::string value;
 };
 
-/** Throw FatalError("line <lineNo>: <msg>"). Callers whose grammar
- *  carries its own prefix ("serve spec line N: ...") catch and
- *  re-throw with it prepended. */
+/** Throw FatalError("line <lineNo>: <msg>"), or plain <msg> when
+ *  lineNo is 0. Callers whose grammar carries its own prefix ("serve
+ *  spec line N: ...") catch and re-throw with it prepended. */
 [[noreturn]] void lineFatal(unsigned lineNo, const std::string &msg);
 
 /** Scan a spec stream into lines ('#' comments stripped, blanks

@@ -40,6 +40,25 @@ parseModeListAt(const std::string &text, unsigned lineNo)
     return mask;
 }
 
+/** parseU32At() with an upper bound: the caps keep a typo'd count
+ *  from reaching an allocation sized by it. */
+unsigned
+parseCappedAt(const std::string &key, const std::string &text,
+              unsigned cap, unsigned lineNo)
+{
+    const unsigned n = parseU32At(text, lineNo);
+    if (n > cap)
+        lineFatal(lineNo, key + " " + std::to_string(n) +
+                              " too large (cap: " +
+                              std::to_string(cap) + ")");
+    return n;
+}
+
+constexpr unsigned kMaxTrainIterations = 1'000'000;
+constexpr unsigned kMaxTrainShards = 4096;
+
+} // namespace
+
 // --------------------------------------------------- scenario keys
 
 void
@@ -135,9 +154,9 @@ applyScenarioKey(ScenarioSpec &s, const ConfigLine &l)
             lineFatal(no, err);
         s.policy = value;
     } else if (key == "train") {
-        s.trainIterations = parseU32At(value, no);
+        s.trainIterations = parseCappedAt(key, value, kMaxTrainIterations, no);
     } else if (key == "shards") {
-        s.trainShards = parseU32At(value, no);
+        s.trainShards = parseCappedAt(key, value, kMaxTrainShards, no);
     } else if (key == "merge") {
         const std::string err = rl::checkMergeSpecText(value);
         if (!err.empty())
@@ -157,10 +176,6 @@ applyScenarioKey(ScenarioSpec &s, const ConfigLine &l)
         s.loadModel = value;
     } else if (key == "save-model") {
         s.saveModel = value;
-    } else if (key == "load-qtable") {
-        s.loadQtable = value;
-    } else if (key == "save-qtable") {
-        s.saveQtable = value;
     } else if (key == "freeze-loaded") {
         s.freezeLoaded = parseBoolAt(value, no);
     } else if (key == "seed") {
@@ -215,7 +230,52 @@ applyScenarioKey(ScenarioSpec &s, const ConfigLine &l)
     }
 }
 
+void
+applyCampaignKey(CampaignSpec &c, const ConfigLine &l)
+{
+    if (l.key == "campaign") {
+        c.name = l.value;
+    } else if (l.key == "baseline") {
+        if (l.value != "none") {
+            const std::string err = checkPolicyName(l.value);
+            if (!err.empty())
+                lineFatal(l.no, err);
+        }
+        c.baseline = l.value;
+    } else if (l.key == "fault") {
+        const std::string err = checkFaultPlanText(l.value);
+        if (!err.empty())
+            lineFatal(l.no, err);
+        c.fault = faultPlanFromString(l.value);
+    } else if (l.key == "max-retries") {
+        c.maxRetries = parseCappedAt(l.key, l.value, 1000, l.no);
+    } else if (l.key == "workers") {
+        c.workers = parseCappedAt(l.key, l.value, 1024, l.no);
+        if (c.workers == 0)
+            lineFatal(l.no, "workers must be positive (omit the key "
+                            "for in-process runs)");
+    } else if (l.key == "lease-ttl") {
+        c.leaseTtlSec = parseDoubleAt(l.value, l.no);
+        if (!(c.leaseTtlSec > 0.0) || c.leaseTtlSec > 86400.0)
+            lineFatal(l.no, "lease-ttl must be in (0, 86400] seconds");
+    } else if (l.key == "cell-timeout") {
+        c.cellTimeoutSec = parseDoubleAt(l.value, l.no);
+        if (!(c.cellTimeoutSec > 0.0) || c.cellTimeoutSec > 86400.0)
+            lineFatal(l.no, "cell-timeout must be in (0, 86400] "
+                            "seconds");
+    } else {
+        lineFatal(l.no, "unknown top-level key '" + l.key +
+                            "' (known: campaign, baseline, fault, "
+                            "max-retries, workers, lease-ttl, "
+                            "cell-timeout; scenario keys go in a "
+                            "[scenario] section)");
+    }
+}
+
 // --------------------------------------------------- campaign keys
+
+namespace
+{
 
 /**
  * splitList() for axis values whose entries may themselves contain
@@ -268,7 +328,8 @@ applyAxisKey(CampaignSpec &c, const ConfigLine &l)
             c.seeds.push_back(parseU64At(p, l.no));
     } else if (l.key == "shards") {
         for (const std::string &p : parts)
-            c.shardCounts.push_back(parseU32At(p, l.no));
+            c.shardCounts.push_back(
+                parseCappedAt(l.key, p, kMaxTrainShards, l.no));
     } else if (l.key == "acc-count") {
         for (const std::string &p : parts) {
             const unsigned n = parseU32At(p, l.no);
@@ -314,11 +375,13 @@ applyTrainKey(CampaignSpec &c, const ConfigLine &l)
             c.transfer.socs.push_back(p);
         }
     } else if (l.key == "iterations") {
-        c.transfer.iterations = parseU32At(l.value, l.no);
+        c.transfer.iterations = parseCappedAt(
+            l.key, l.value, kMaxTrainIterations, l.no);
         if (c.transfer.iterations == 0)
             lineFatal(l.no, "iterations must be positive");
     } else if (l.key == "shards") {
-        c.transfer.shardsPerSoc = parseU32At(l.value, l.no);
+        c.transfer.shardsPerSoc =
+            parseCappedAt(l.key, l.value, kMaxTrainShards, l.no);
         if (c.transfer.shardsPerSoc == 0)
             lineFatal(l.no, "shards must be positive");
     } else if (l.key == "save-model") {
@@ -397,56 +460,8 @@ parseCampaign(std::istream &is)
 
         switch (section) {
           case Section::kTop:
-            if (l.key == "campaign") {
-                c.name = l.value;
-                named = true;
-            } else if (l.key == "baseline") {
-                if (l.value != "none") {
-                    const std::string err = checkPolicyName(l.value);
-                    if (!err.empty())
-                        lineFatal(l.no, err);
-                }
-                c.baseline = l.value;
-            } else if (l.key == "fault") {
-                const std::string err = checkFaultPlanText(l.value);
-                if (!err.empty())
-                    lineFatal(l.no, err);
-                c.fault = faultPlanFromString(l.value);
-            } else if (l.key == "max-retries") {
-                c.maxRetries = parseU32At(l.value, l.no);
-                if (c.maxRetries > 1000)
-                    lineFatal(l.no, "max-retries " +
-                                        std::to_string(c.maxRetries) +
-                                        " too large (cap: 1000)");
-            } else if (l.key == "workers") {
-                c.workers = parseU32At(l.value, l.no);
-                if (c.workers == 0)
-                    lineFatal(l.no, "workers must be positive (omit "
-                                    "the key for in-process runs)");
-                if (c.workers > 1024)
-                    lineFatal(l.no, "workers " +
-                                        std::to_string(c.workers) +
-                                        " too large (cap: 1024)");
-            } else if (l.key == "lease-ttl") {
-                c.leaseTtlSec = parseDoubleAt(l.value, l.no);
-                if (!(c.leaseTtlSec > 0.0) ||
-                    c.leaseTtlSec > 86400.0)
-                    lineFatal(l.no, "lease-ttl must be in (0, 86400] "
-                                    "seconds");
-            } else if (l.key == "cell-timeout") {
-                c.cellTimeoutSec = parseDoubleAt(l.value, l.no);
-                if (!(c.cellTimeoutSec > 0.0) ||
-                    c.cellTimeoutSec > 86400.0)
-                    lineFatal(l.no, "cell-timeout must be in "
-                                    "(0, 86400] seconds");
-            } else {
-                lineFatal(l.no, "unknown top-level key '" + l.key +
-                                    "' (known: campaign, baseline, "
-                                    "fault, max-retries, workers, "
-                                    "lease-ttl, cell-timeout; "
-                                    "scenario keys go in a "
-                                    "[scenario] section)");
-            }
+            applyCampaignKey(c, l);
+            named = named || l.key == "campaign";
             break;
           case Section::kScenario:
             applyScenarioKey(c.base, l);
@@ -571,10 +586,6 @@ writeScenarioKeys(std::ostream &os, const ScenarioSpec &s,
         os << "load-model = " << s.loadModel << '\n';
     if (!s.saveModel.empty())
         os << "save-model = " << s.saveModel << '\n';
-    if (!s.loadQtable.empty())
-        os << "load-qtable = " << s.loadQtable << '\n';
-    if (!s.saveQtable.empty())
-        os << "save-qtable = " << s.saveQtable << '\n';
     os << "freeze-loaded = " << (s.freezeLoaded ? "true" : "false")
        << '\n';
     os << "seed = " << s.evalSeed << '\n';

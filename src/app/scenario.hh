@@ -64,6 +64,8 @@
 namespace cohmeleon::app
 {
 
+struct ConfigLine;
+
 /** What a cell measures. */
 enum class WorkloadKind : std::uint8_t
 {
@@ -140,10 +142,8 @@ struct ScenarioSpec
     /** Cohmeleon's learned-model backend. A "cohmeleon@MODEL" policy
      *  string overrides it for that cell. */
     rl::ModelSpec model;
-    std::string loadModel;    ///< checkpoint path replacing training
-    std::string saveModel;    ///< persist the trained checkpoint
-    std::string loadQtable;   ///< legacy value-only Q-table restore
-    std::string saveQtable;   ///< legacy value-only Q-table persist
+    std::string loadModel; ///< checkpoint path replacing training
+    std::string saveModel; ///< persist the trained checkpoint
     /** Force-freeze a restored checkpoint (the CLI --eval split).
      *  When false, the checkpoint's own frozen flag decides —
      *  unfrozen checkpoints resume learning bit-exactly. */
@@ -216,15 +216,14 @@ struct CampaignSpec
      *  they are the whole campaign (the ablation layout). */
     std::vector<ScenarioSpec> cells;
 
-    /** Execution-harness defaults (`fault =`, `max-retries =`,
+    /** Execution-harness keys (`fault =`, `max-retries =`,
      *  `workers =`, `lease-ttl =`, `cell-timeout =`): a scripted
      *  fault, the per-cell retry budget for throwing cells, and the
      *  supervised worker-fleet knobs (process count, lease staleness
-     *  TTL in seconds, per-cell watchdog timeout in seconds). CLI
-     *  flags override them, and all are cleared from the identity
-     *  --resume validates against — they change how the campaign is
-     *  driven, not what it computes, so a run may be resumed at any
-     *  worker count. */
+     *  TTL in seconds, per-cell watchdog timeout in seconds). All are
+     *  cleared from the identity --resume validates against — they
+     *  change how the campaign is driven, not what it computes, so a
+     *  run may be resumed at any worker count. */
     FaultPlan fault;
     unsigned maxRetries = 0;
     unsigned workers = 0;        ///< 0 = in-process (no fleet)
@@ -245,6 +244,18 @@ soc::SocConfig resolveSoc(const ScenarioSpec &spec);
  */
 ScenarioSpec parseScenario(std::istream &is);
 ScenarioSpec parseScenarioString(const std::string &text);
+
+/**
+ * The per-key dispatch behind parseScenario(), also fed the CLI's
+ * `--KEY VALUE` flags, so a key has one parser and one diagnostic
+ * wherever it is set.
+ * @throws FatalError naming the line (when @p line has one)
+ */
+void applyScenarioKey(ScenarioSpec &spec, const ConfigLine &line);
+
+/** The same for a campaign file's top-level keys: `campaign`,
+ *  `baseline` and the execution-harness keys. */
+void applyCampaignKey(CampaignSpec &spec, const ConfigLine &line);
 
 /** Parse a campaign file (see the file comment for the format).
  *  @throws FatalError with a line number on malformed input */

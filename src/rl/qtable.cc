@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
-#include <ostream>
-#include <string>
 
 #include "sim/logging.hh"
 
@@ -162,59 +159,6 @@ QTable::allFinite() const
             if (!std::isfinite(v))
                 return false;
     return true;
-}
-
-void
-QTable::save(std::ostream &os) const
-{
-    os << "cohmeleon-qtable " << StateTuple::kNumStates << ' '
-       << kNumActions << '\n';
-    os.precision(17);
-    for (unsigned s = 0; s < StateTuple::kNumStates; ++s) {
-        for (unsigned a = 0; a < kNumActions; ++a)
-            os << q_[s][a] << (a + 1 < kNumActions ? ' ' : '\n');
-    }
-}
-
-void
-QTable::load(std::istream &is)
-{
-    std::string magic;
-    unsigned states = 0;
-    unsigned actions = 0;
-    is >> magic >> states >> actions;
-    fatalIf(!is || magic != "cohmeleon-qtable",
-            "malformed Q-table file header");
-    fatalIf(states != StateTuple::kNumStates || actions != kNumActions,
-            "Q-table dimensions ", states, "x", actions,
-            " do not match the ", StateTuple::kNumStates, "x",
-            kNumActions, " state space");
-    // Parse into fresh storage and commit only on success, so a
-    // malformed file cannot leave behind a half-loaded table.
-    std::vector<std::array<double, kNumActions>> q(
-        StateTuple::kNumStates, std::array<double, kNumActions>{});
-    std::vector<std::array<bool, kNumActions>> touched(
-        StateTuple::kNumStates, std::array<bool, kNumActions>{});
-    for (unsigned s = 0; s < StateTuple::kNumStates; ++s) {
-        for (unsigned a = 0; a < kNumActions; ++a) {
-            double v = 0.0;
-            is >> v;
-            fatalIf(!is, "truncated or unparseable Q-table file at "
-                         "state ", s, " action ", a);
-            fatalIf(!std::isfinite(v), "non-finite Q-value at state ",
-                    s, " action ", a);
-            q[s][a] = v;
-            touched[s][a] = v != 0.0;
-        }
-    }
-    std::string trailing;
-    is >> trailing;
-    fatalIf(!trailing.empty(), "trailing garbage after Q-table data");
-    q_ = std::move(q);
-    touched_ = std::move(touched);
-    // A standalone Q-table file carries values only; training mass is
-    // part of the full PolicyCheckpoint format.
-    visits_.assign(StateTuple::kNumStates, {});
 }
 
 void

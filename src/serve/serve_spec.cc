@@ -1,6 +1,5 @@
 #include "serve/serve_spec.hh"
 
-#include <cctype>
 #include <cmath>
 #include <sstream>
 
@@ -84,16 +83,32 @@ labelTenants(ServeSpec &spec)
 void
 validateServeSpec(const ServeSpec &spec)
 {
+    // The caps keep a typo'd count from sizing an allocation (the
+    // request trace is reserved up front).
+    constexpr std::uint64_t kMaxRequests = 100'000'000;
+    constexpr unsigned kMaxTraining = 100'000;
     fatalIf(!soc::isKnownSocName(spec.soc), "serve spec: unknown SoC '",
             spec.soc, "' (known: ", soc::knownSocNamesText(), ")");
     fatalIf(spec.requests == 0, "serve spec: requests must be > 0");
+    fatalIf(spec.requests > kMaxRequests,
+            "serve spec: requests must be <= ", kMaxRequests, ", got ",
+            spec.requests);
     fatalIf(spec.threads == 0, "serve spec: threads must be > 0");
     fatalIf(spec.threads > 256,
             "serve spec: threads must be <= 256, got ", spec.threads);
     fatalIf(spec.swapInterval == 0,
             "serve spec: swap-interval must be > 0");
+    fatalIf(spec.swapInterval > kMaxRequests,
+            "serve spec: swap-interval must be <= ", kMaxRequests,
+            ", got ", spec.swapInterval);
     fatalIf(spec.trainIterations == 0, "serve spec: train must be > 0");
+    fatalIf(spec.trainIterations > kMaxTraining,
+            "serve spec: train must be <= ", kMaxTraining, ", got ",
+            spec.trainIterations);
     fatalIf(spec.trainShards == 0, "serve spec: shards must be > 0");
+    fatalIf(spec.trainShards > kMaxTraining,
+            "serve spec: shards must be <= ", kMaxTraining, ", got ",
+            spec.trainShards);
     fatalIf(spec.tenants.empty(),
             "serve spec: the tenant mix must not be empty");
     for (const TenantSpec &t : spec.tenants) {
@@ -103,145 +118,133 @@ validateServeSpec(const ServeSpec &spec)
                 "serve spec: tenant weight for '", t.source,
                 "' must be a positive finite number");
     }
-    fatalIf(!(spec.arrivalRate >= 0.0) ||
-                !std::isfinite(spec.arrivalRate),
-            "serve spec: arrival-rate must be a finite number >= 0");
+    fatalIf(!(spec.arrivalRate >= 0.0) || spec.arrivalRate > 1e9,
+            "serve spec: arrival-rate must be a number in [0, 1e9]");
 }
 
-namespace
+void
+ServeSpecBuilder::apply(const app::ConfigLine &l)
 {
+    const unsigned no = l.no;
+    const std::string &key = l.key;
+    const std::string &value = l.value;
 
-/** The key dispatch behind parseServeSpecString(); throws with bare
- *  "line N: ..." diagnostics (the caller adds the family prefix). */
-ServeSpec
-parseServeSpecLines(const std::string &text, bool &sawTenants,
-                    std::vector<double> &tenantWeights,
-                    unsigned &tenantWeightsLine)
-{
-    ServeSpec spec;
-    spec.tenants.clear();
-
-    std::istringstream is(text);
-    for (const app::ConfigLine &l : app::scanConfigLines(is)) {
-        if (l.isSection)
-            lineFatal(l.no, "serve specs have no sections (put the "
-                            "keys at top level)");
-        const unsigned no = l.no;
-        const std::string &key = l.key;
-        const std::string &value = l.value;
-
-        if (key == "serve") {
-            if (value.empty())
-                lineFatal(no, "serve needs a name");
-            spec.name = value;
-        } else if (key == "soc") {
-            if (!soc::isKnownSocName(value))
-                lineFatal(no, "unknown SoC '" + value + "' (known: " +
-                                  soc::knownSocNamesText() + ")");
-            spec.soc = value;
-        } else if (key == "requests") {
-            spec.requests = parseU64At(value, no);
-        } else if (key == "threads") {
-            spec.threads = parseU32At(value, no);
-        } else if (key == "swap-interval") {
-            spec.swapInterval = parseU64At(value, no);
-        } else if (key == "train") {
-            spec.trainIterations = parseU32At(value, no);
-        } else if (key == "shards") {
-            spec.trainShards = parseU32At(value, no);
-        } else if (key == "merge") {
-            const std::string diag = rl::checkMergeSpecText(value);
+    if (key == "serve") {
+        if (value.empty())
+            lineFatal(no, "serve needs a name");
+        spec_.name = value;
+    } else if (key == "soc") {
+        if (!soc::isKnownSocName(value))
+            lineFatal(no, "unknown SoC '" + value + "' (known: " +
+                              soc::knownSocNamesText() + ")");
+        spec_.soc = value;
+    } else if (key == "requests") {
+        spec_.requests = parseU64At(value, no);
+    } else if (key == "threads") {
+        spec_.threads = parseU32At(value, no);
+    } else if (key == "swap-interval") {
+        spec_.swapInterval = parseU64At(value, no);
+    } else if (key == "train") {
+        spec_.trainIterations = parseU32At(value, no);
+    } else if (key == "shards") {
+        spec_.trainShards = parseU32At(value, no);
+    } else if (key == "merge") {
+        const std::string diag = rl::checkMergeSpecText(value);
+        if (!diag.empty())
+            lineFatal(no, diag);
+        spec_.merge = rl::mergeSpecFromString(value);
+    } else if (key == "explore") {
+        const std::string diag = rl::checkExploreSpecText(value);
+        if (!diag.empty())
+            lineFatal(no, diag);
+        spec_.explore = rl::exploreSpecFromString(value);
+    } else if (key == "model") {
+        const std::string diag = rl::checkModelSpecText(value);
+        if (!diag.empty())
+            lineFatal(no, diag);
+        spec_.model = rl::modelSpecFromString(value);
+    } else if (key == "reward-weights") {
+        const std::vector<std::string> parts = splitList(value, ',');
+        if (parts.size() != 3)
+            lineFatal(no, "reward-weights needs three values "
+                          "(exec, comm, mem), got " +
+                              std::to_string(parts.size()));
+        spec_.weights.exec = parseDoubleAt(parts[0], no);
+        spec_.weights.comm = parseDoubleAt(parts[1], no);
+        spec_.weights.mem = parseDoubleAt(parts[2], no);
+    } else if (key == "tenants") {
+        spec_.tenants.clear();
+        for (const std::string &part : splitList(value, ',')) {
+            const std::string src = trimText(part);
+            const std::string diag = checkTenantSource(src);
             if (!diag.empty())
                 lineFatal(no, diag);
-            spec.merge = rl::mergeSpecFromString(value);
-        } else if (key == "explore") {
-            const std::string diag = rl::checkExploreSpecText(value);
-            if (!diag.empty())
-                lineFatal(no, diag);
-            spec.explore = rl::exploreSpecFromString(value);
-        } else if (key == "model") {
-            const std::string diag = rl::checkModelSpecText(value);
-            if (!diag.empty())
-                lineFatal(no, diag);
-            spec.model = rl::modelSpecFromString(value);
-        } else if (key == "reward-weights") {
-            const std::vector<std::string> parts = splitList(value, ',');
-            if (parts.size() != 3)
-                lineFatal(no, "reward-weights needs three values "
-                              "(exec, comm, mem), got " +
-                                  std::to_string(parts.size()));
-            spec.weights.exec = parseDoubleAt(parts[0], no);
-            spec.weights.comm = parseDoubleAt(parts[1], no);
-            spec.weights.mem = parseDoubleAt(parts[2], no);
-        } else if (key == "tenants") {
-            sawTenants = true;
-            spec.tenants.clear();
-            for (const std::string &part : splitList(value, ',')) {
-                const std::string src = trimText(part);
-                const std::string diag = checkTenantSource(src);
-                if (!diag.empty())
-                    lineFatal(no, diag);
-                TenantSpec t;
-                t.source = src;
-                spec.tenants.push_back(std::move(t));
-            }
-            if (spec.tenants.empty())
-                lineFatal(no, "tenants needs at least one source");
-        } else if (key == "tenant-weights") {
-            tenantWeights.clear();
-            tenantWeightsLine = no;
-            for (const std::string &part : splitList(value, ','))
-                tenantWeights.push_back(parseDoubleAt(part, no));
-        } else if (key == "arrival-rate") {
-            spec.arrivalRate = parseDoubleAt(value, no);
-        } else if (key == "seed") {
-            spec.seed = parseU64At(value, no);
-        } else if (key == "train-seed") {
-            spec.trainSeed = parseU64At(value, no);
-        } else if (key == "agent-seed") {
-            spec.agentSeed = parseU64At(value, no);
-        } else if (key == "load-state") {
-            spec.loadState = value;
-        } else if (key == "save-state") {
-            spec.saveState = value;
-        } else if (key == "decision-log") {
-            spec.decisionLog = value;
-        } else {
-            lineFatal(no, "unknown serve key '" + key + "'");
+            TenantSpec t;
+            t.source = src;
+            spec_.tenants.push_back(std::move(t));
         }
+        if (spec_.tenants.empty())
+            lineFatal(no, "tenants needs at least one source");
+    } else if (key == "tenant-weights") {
+        weights_.clear();
+        weightsLine_ = no;
+        for (const std::string &part : splitList(value, ','))
+            weights_.push_back(parseDoubleAt(part, no));
+    } else if (key == "arrival-rate") {
+        spec_.arrivalRate = parseDoubleAt(value, no);
+    } else if (key == "seed") {
+        spec_.seed = parseU64At(value, no);
+    } else if (key == "train-seed") {
+        spec_.trainSeed = parseU64At(value, no);
+    } else if (key == "agent-seed") {
+        spec_.agentSeed = parseU64At(value, no);
+    } else if (key == "load-state") {
+        spec_.loadState = value;
+    } else if (key == "save-state") {
+        spec_.saveState = value;
+    } else if (key == "decision-log") {
+        spec_.decisionLog = value;
+    } else {
+        lineFatal(no, "unknown serve key '" + key + "'");
     }
+}
+
+ServeSpec
+ServeSpecBuilder::build() const
+{
+    ServeSpec spec = spec_;
+    if (!weights_.empty()) {
+        if (weights_.size() != spec.tenants.size())
+            lineFatal(weightsLine_,
+                      "tenant-weights has " +
+                          std::to_string(weights_.size()) +
+                          " entries for " +
+                          std::to_string(spec.tenants.size()) +
+                          " tenants");
+        for (std::size_t i = 0; i < weights_.size(); ++i)
+            spec.tenants[i].weight = weights_[i];
+    }
+    labelTenants(spec);
     return spec;
 }
-
-} // namespace
 
 ServeSpec
 parseServeSpecString(const std::string &text)
 {
     ServeSpec spec;
-    bool sawTenants = false;
-    std::vector<double> tenantWeights;
-    unsigned tenantWeightsLine = 0;
     try {
-        spec = parseServeSpecLines(text, sawTenants, tenantWeights,
-                                   tenantWeightsLine);
-        if (!sawTenants)
-            spec.tenants.resize(2); // the default mix: random, random
-        if (!tenantWeights.empty()) {
-            if (tenantWeights.size() != spec.tenants.size())
-                lineFatal(tenantWeightsLine,
-                          "tenant-weights has " +
-                              std::to_string(tenantWeights.size()) +
-                              " entries for " +
-                              std::to_string(spec.tenants.size()) +
-                              " tenants");
-            for (std::size_t i = 0; i < tenantWeights.size(); ++i)
-                spec.tenants[i].weight = tenantWeights[i];
+        ServeSpecBuilder builder;
+        std::istringstream is(text);
+        for (const app::ConfigLine &l : app::scanConfigLines(is)) {
+            if (l.isSection)
+                lineFatal(l.no, "serve specs have no sections (put "
+                                "the keys at top level)");
+            builder.apply(l);
         }
+        spec = builder.build();
     } catch (const FatalError &e) {
         fatal("serve spec ", e.what());
     }
-    labelTenants(spec);
     validateServeSpec(spec);
     return spec;
 }

@@ -38,11 +38,17 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rl/learned_model.hh"
 #include "rl/reward.hh"
 #include "rl/strategy.hh"
+
+namespace cohmeleon::app
+{
+struct ConfigLine;
+} // namespace cohmeleon::app
 
 namespace cohmeleon::serve
 {
@@ -113,12 +119,44 @@ std::string checkTenantSource(const std::string &source);
 void labelTenants(ServeSpec &spec);
 
 /**
- * Semantic validation beyond parsing: positive counts, a known SoC
- * preset, a non-empty tenant mix with valid sources and positive
- * finite weights, sane pacing.
+ * Semantic validation beyond parsing: counts positive and within
+ * their caps (requests and swap-interval <= 1e8, train and shards
+ * <= 1e5, threads <= 256), a known SoC preset, a non-empty tenant
+ * mix with valid sources and positive finite weights, pacing in
+ * [0, 1e9] requests/sec.
  * @throws FatalError with a one-line diagnostic on the first problem
  */
 void validateServeSpec(const ServeSpec &spec);
+
+/**
+ * The per-key dispatch behind parseServeSpecString(), also fed the
+ * CLI's `--KEY VALUE` flags on top of a base spec. `tenant-weights`
+ * stays pending until build(), so it may precede `tenants`.
+ */
+class ServeSpecBuilder
+{
+  public:
+    explicit ServeSpecBuilder(ServeSpec base = {})
+        : spec_(std::move(base))
+    {}
+
+    /** Apply one key. @throws FatalError naming the line (when
+     *  @p line has one) on a malformed value or an unknown key */
+    void apply(const app::ConfigLine &line);
+
+    /** The spec so far, pending tenant weights applied and tenants
+     *  labelled (not yet validateServeSpec()ed).
+     *  @throws FatalError when the weights do not match the tenants */
+    ServeSpec build() const;
+
+    /** The spec so far without the pending tenant weights. */
+    const ServeSpec &spec() const { return spec_; }
+
+  private:
+    ServeSpec spec_;
+    std::vector<double> weights_; ///< pending tenant-weights
+    unsigned weightsLine_ = 0;
+};
 
 /** Parse the text form. @throws FatalError with "serve spec line N:
  *  ..." diagnostics on malformed input or unknown keys */

@@ -361,6 +361,23 @@ TEST(Validators, FigureAppRegistry)
 
 // -------------------------------------------------------- resolution
 
+TEST(ScenarioParser, TrainingCountsAreCapped)
+{
+    // A count beyond its cap fails with one line naming the line,
+    // not with an allocation sized by it.
+    const std::string shards = diagnosticOf(
+        [] { parseScenarioString("soc = soc1\nshards = 4294967295\n"); });
+    EXPECT_NE(shards.find("line 2: shards 4294967295 too large "
+                          "(cap: 4096)"),
+              std::string::npos)
+        << shards;
+    const std::string train =
+        diagnosticOf([] { parseScenarioString("train = 1000001\n"); });
+    EXPECT_NE(train.find("train 1000001 too large"), std::string::npos)
+        << train;
+    EXPECT_EQ(parseScenarioString("shards = 4096\n").trainShards, 4096u);
+}
+
 TEST(Scenario, ResolveSocAppliesInlineTweaks)
 {
     ScenarioSpec s;
@@ -922,11 +939,12 @@ TEST(CampaignResilienceDeathTest, CrashAndResumeReproducesTheCleanRun)
         const std::string sd = dir.file("state");
         EXPECT_EXIT(
             {
+                CampaignSpec crashing = c;
+                crashing.fault = faultPlanFromString(fault);
                 CampaignRunOptions crash;
                 crash.stateDir = sd;
-                crash.fault = faultPlanFromString(fault);
                 ParallelRunner r(1);
-                CampaignRunner(r).run(c, crash);
+                CampaignRunner(r).run(crashing, crash);
             },
             ::testing::ExitedWithCode(kFaultCrashExit), "")
             << fault;
@@ -1020,24 +1038,6 @@ TEST(CampaignResilience, RetriesRecoverFlakyCells)
     EXPECT_EQ(json, cleanTinyJson());
 }
 
-TEST(CampaignResilience, CliRetryBudgetOverridesTheSpec)
-{
-    CampaignSpec c = tinyCampaign();
-    c.fault = faultPlanFromString("fail@1:1");
-
-    ParallelRunner serial(1);
-    // Spec default: no retries, the cell fails.
-    EXPECT_EQ(CampaignRunner(serial).run(c).failureCount(), 1u);
-    // CLI override: one retry recovers it.
-    CampaignRunOptions opts;
-    opts.maxRetries = 1;
-    const CampaignResult r = CampaignRunner(serial).run(c, opts);
-    EXPECT_EQ(r.failureCount(), 0u);
-    const CellResult *manual = r.find("soc1/manual");
-    ASSERT_NE(manual, nullptr);
-    EXPECT_EQ(manual->attempts, 2u);
-}
-
 TEST(CampaignResilience, StopRequestInterruptsAndResumes)
 {
     const test::TempDir dir("stop");
@@ -1068,13 +1068,13 @@ TEST(CampaignResilience, SigintAfterWriteFlushesThenStops)
 {
     const test::TempDir dir("sigint");
     const std::string sd = dir.file("state");
-    const CampaignSpec c = tinyCampaign();
+    CampaignSpec c = tinyCampaign();
+    c.fault = faultPlanFromString("sigint-after-write@0");
 
     installCampaignSignalHandlers();
     clearCampaignStop();
     CampaignRunOptions opts;
     opts.stateDir = sd;
-    opts.fault = faultPlanFromString("sigint-after-write@0");
     ParallelRunner serial(1);
     try {
         CampaignRunner(serial).run(c, opts);
@@ -1088,7 +1088,7 @@ TEST(CampaignResilience, SigintAfterWriteFlushesThenStops)
     // The manifest was flushed before the stop took effect: exactly
     // one cell is durable, and the resume runs only the rest.
     EXPECT_EQ(manifestDoneCount(sd), 1u);
-    opts.fault = FaultPlan{};
+    c.fault = FaultPlan{};
     opts.resume = true;
     EXPECT_EQ(CampaignRunner(serial).run(c, opts).json(),
               cleanTinyJson());

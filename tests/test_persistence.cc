@@ -62,8 +62,8 @@ smallTrainedPolicy(const soc::SocConfig &cfg, unsigned iterations,
 
 TEST(Persistence, TrainedPolicySurvivesSaveLoad)
 {
-    // Train a small policy, persist its Q-table, restore it into a
-    // fresh policy, and check frozen decisions are identical.
+    // Train a small policy, persist its checkpoint, restore it into
+    // a fresh policy, and check frozen decisions are identical.
     const soc::SocConfig cfg = test::tinySocConfig();
     policy::CohmeleonParams params;
     params.agent.decayIterations = 3;
@@ -75,11 +75,11 @@ TEST(Persistence, TrainedPolicySurvivesSaveLoad)
     app::trainCohmeleon(trained, cfg,
                         app::generateRandomApp(cfg, Rng(5), ap), 3);
 
-    std::stringstream persisted;
-    trained.agent().table().save(persisted);
-
-    policy::CohmeleonPolicy restored(params);
-    restored.agent().table().load(persisted);
+    std::stringstream persisted(
+        policy::PolicyCheckpoint::capture(trained).serialized());
+    const auto restoredPtr =
+        policy::PolicyCheckpoint::load(persisted).makePolicy();
+    policy::CohmeleonPolicy &restored = *restoredPtr;
     restored.freeze();
 
     // Frozen decisions agree on every state with a unique argmax.
@@ -105,10 +105,11 @@ TEST(Persistence, RestoredPolicyRunsApplications)
         app::generateRandomApp(cfg, Rng(9), ap);
     app::trainCohmeleon(trained, cfg, spec, 2);
 
-    std::stringstream persisted;
-    trained.agent().table().save(persisted);
-    policy::CohmeleonPolicy restored(params);
-    restored.agent().table().load(persisted);
+    std::stringstream persisted(
+        policy::PolicyCheckpoint::capture(trained).serialized());
+    const auto restoredPtr =
+        policy::PolicyCheckpoint::load(persisted).makePolicy();
+    policy::CohmeleonPolicy &restored = *restoredPtr;
     restored.freeze();
 
     const app::AppResult result =

@@ -6,7 +6,6 @@
 
 #include <array>
 #include <limits>
-#include <sstream>
 #include <vector>
 
 #include "rl/agent.hh"
@@ -167,87 +166,6 @@ TEST(QTable, BestActionTiesPickLowestIndex)
     QTable q;
     EXPECT_EQ(q.bestAction(0, 0b1111), 0u);
     EXPECT_EQ(q.bestAction(0, 0b1100), 2u);
-}
-
-TEST(QTable, SaveLoadRoundTrip)
-{
-    QTable q;
-    q.setQ(0, 0, 0.125);
-    q.setQ(100, 3, -2.5);
-    q.setQ(242, 1, 7.75);
-    std::stringstream ss;
-    q.save(ss);
-
-    QTable r;
-    r.load(ss);
-    EXPECT_DOUBLE_EQ(r.q(0, 0), 0.125);
-    EXPECT_DOUBLE_EQ(r.q(100, 3), -2.5);
-    EXPECT_DOUBLE_EQ(r.q(242, 1), 7.75);
-    EXPECT_DOUBLE_EQ(r.q(50, 2), 0.0);
-}
-
-TEST(QTable, LoadRejectsGarbage)
-{
-    QTable q;
-    std::stringstream ss("not-a-qtable 1 2\n");
-    EXPECT_THROW(q.load(ss), FatalError);
-    std::stringstream truncated("cohmeleon-qtable 243 4\n1.0 2.0\n");
-    EXPECT_THROW(q.load(truncated), FatalError);
-}
-
-TEST(QTable, LoadRejectsWrongDimensions)
-{
-    QTable q;
-    std::stringstream wrongStates("cohmeleon-qtable 100 4\n");
-    EXPECT_THROW(q.load(wrongStates), FatalError);
-    std::stringstream wrongActions("cohmeleon-qtable 243 7\n");
-    EXPECT_THROW(q.load(wrongActions), FatalError);
-}
-
-TEST(QTable, LoadRejectsNonFiniteValues)
-{
-    // A NaN in a persisted table silently corrupts every later
-    // greedy decision (NaN never compares greater); reject it.
-    QTable trained;
-    trained.setQ(0, 1, 0.5);
-    std::stringstream ss;
-    trained.save(ss);
-    std::string text = ss.str();
-    const std::string needle = "0.5";
-    text.replace(text.find(needle), needle.size(), "nan");
-    QTable q;
-    std::stringstream corrupted(text);
-    EXPECT_THROW(q.load(corrupted), FatalError);
-
-    // Overflowing literals (1e999 -> Inf) are rejected too.
-    std::stringstream ss2;
-    trained.save(ss2);
-    std::string text2 = ss2.str();
-    text2.replace(text2.find(needle), needle.size(), "1e999");
-    std::stringstream corrupted2(text2);
-    EXPECT_THROW(q.load(corrupted2), FatalError);
-}
-
-TEST(QTable, LoadRejectsTrailingGarbage)
-{
-    QTable trained;
-    std::stringstream ss;
-    trained.save(ss);
-    ss << "extra-token\n";
-    QTable q;
-    EXPECT_THROW(q.load(ss), FatalError);
-}
-
-TEST(QTable, FailedLoadLeavesTableUntouched)
-{
-    QTable q;
-    q.setQ(5, 3, 42.0);
-    std::stringstream truncated("cohmeleon-qtable 243 4\n1.0 2.0\n");
-    EXPECT_THROW(q.load(truncated), FatalError);
-    // No partially-loaded state: the pre-load contents survive.
-    EXPECT_DOUBLE_EQ(q.q(5, 3), 42.0);
-    EXPECT_DOUBLE_EQ(q.q(0, 0), 0.0);
-    EXPECT_TRUE(q.tried(5, 3));
 }
 
 // ------------------------------------------------------- visits + merge

@@ -84,7 +84,7 @@ servedAt(unsigned threads)
     return it->second;
 }
 
-/** Canonical bytes of a Q-table (QTable::save stream). */
+/** Canonical bytes of a model (its Model::save stream). */
 std::string
 tableBytes(const rl::Model &model)
 {
@@ -216,6 +216,15 @@ TEST(ServeSpec, DiagnosticsNameLineAndKnownValues)
     EXPECT_NE(parse("requests = soon").find("expected a number"),
               std::string::npos);
     EXPECT_NE(parse("reward-weights = 1, 2").find("three values"),
+              std::string::npos);
+    // Counts beyond the caps fail with one line, not an allocation
+    // sized by them.
+    EXPECT_NE(parse("requests = 18446744073709551615")
+                  .find("requests must be <= 100000000"),
+              std::string::npos);
+    EXPECT_NE(parse("shards = 100001").find("shards must be <="),
+              std::string::npos);
+    EXPECT_NE(parse("arrival-rate = 2e9").find("arrival-rate"),
               std::string::npos);
 }
 

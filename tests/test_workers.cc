@@ -310,12 +310,13 @@ TEST(WorkersLeases, BusyDirectoryIsRefusedNotStolen)
     // The lease's pid (this test) is alive and its heartbeat is
     // fresh: a second fleet must refuse to run rather than fight the
     // first over cells.
+    CampaignSpec c = tinyCampaign();
+    c.workers = 1;
     CampaignRunOptions opts;
     opts.stateDir = sd;
     opts.resume = true;
-    opts.workers = 1;
     const std::string msg = diagnosticOf(
-        [&] { superviseCampaignFleet(tinyCampaign(), opts); });
+        [&] { superviseCampaignFleet(c, opts); });
     EXPECT_NE(msg.find("busy"), std::string::npos) << msg;
 
     // Once the holder is provably dead (stale heartbeat), the same
@@ -324,7 +325,7 @@ TEST(WorkersLeases, BusyDirectoryIsRefusedNotStolen)
     std::filesystem::last_write_time(
         lease, std::filesystem::last_write_time(lease) -
                    std::chrono::hours(1));
-    superviseCampaignFleet(tinyCampaign(), opts);
+    superviseCampaignFleet(c, opts);
     EXPECT_EQ(resumedJson(tinyCampaign(), sd), cleanTinyJson());
 }
 
@@ -332,13 +333,13 @@ TEST(WorkersLeases, BusyDirectoryIsRefusedNotStolen)
 
 TEST(WorkersFleet, JsonIsByteIdenticalAtEveryWorkerCount)
 {
-    const CampaignSpec c = tinyCampaign();
+    CampaignSpec c = tinyCampaign();
     for (const unsigned workers : {1u, 2u, 4u}) {
         const test::TempDir dir("fleet");
         const std::string sd = dir.file("state");
         CampaignRunOptions opts;
         opts.stateDir = sd;
-        opts.workers = workers;
+        c.workers = workers;
         superviseCampaignFleet(c, opts);
         EXPECT_EQ(manifestDoneCount(sd), 3u) << workers;
         EXPECT_EQ(resumedJson(c, sd), cleanTinyJson())
@@ -348,15 +349,14 @@ TEST(WorkersFleet, JsonIsByteIdenticalAtEveryWorkerCount)
 
 TEST(WorkersFleet, OptionValidationFailsFast)
 {
+    CampaignSpec c = tinyCampaign();
+    c.workers = 2;
     CampaignRunOptions opts; // no stateDir
-    opts.workers = 2;
-    EXPECT_THROW(superviseCampaignFleet(tinyCampaign(), opts),
-                 FatalError);
+    EXPECT_THROW(superviseCampaignFleet(c, opts), FatalError);
     const test::TempDir dir("fleet_opts");
     opts.stateDir = dir.file("state");
-    opts.workers = 0;
-    EXPECT_THROW(superviseCampaignFleet(tinyCampaign(), opts),
-                 FatalError);
+    c.workers = 0;
+    EXPECT_THROW(superviseCampaignFleet(c, opts), FatalError);
 }
 
 TEST(WorkersFleet, KilledWorkersAreRespawnedAndTheRunCompletes)
@@ -365,26 +365,26 @@ TEST(WorkersFleet, KilledWorkersAreRespawnedAndTheRunCompletes)
     // first result lands in the manifest. The supervisor reclaims
     // the dead worker's lease (silently — the slot is done),
     // respawns, and the fleet finishes with nothing lost.
-    const CampaignSpec c = tinyCampaign();
+    CampaignSpec c = tinyCampaign();
     const test::TempDir dir("fleet_kill");
     const std::string sd = dir.file("state");
     CampaignRunOptions opts;
     opts.stateDir = sd;
-    opts.workers = 2;
-    opts.fault = faultPlanFromString("kill-worker@0");
+    c.workers = 2;
+    c.fault = faultPlanFromString("kill-worker@0");
     superviseCampaignFleet(c, opts);
-    EXPECT_EQ(resumedJson(c, sd), cleanTinyJson());
+    EXPECT_EQ(resumedJson(tinyCampaign(), sd), cleanTinyJson());
 }
 
 TEST(WorkersFleet, RespawnBudgetExhaustionLeavesAResumableManifest)
 {
-    const CampaignSpec c = tinyCampaign();
+    CampaignSpec c = tinyCampaign();
     const test::TempDir dir("fleet_budget");
     const std::string sd = dir.file("state");
     CampaignRunOptions opts;
     opts.stateDir = sd;
-    opts.workers = 1;
-    opts.fault = faultPlanFromString("kill-worker@0");
+    c.workers = 1;
+    c.fault = faultPlanFromString("kill-worker@0");
     opts.respawnBudget = 0;
     EXPECT_THROW(superviseCampaignFleet(c, opts),
                  CampaignIncomplete);
@@ -393,10 +393,10 @@ TEST(WorkersFleet, RespawnBudgetExhaustionLeavesAResumableManifest)
     // A resume at a different worker count — fault gone — completes
     // the run byte-identically.
     opts.resume = true;
-    opts.workers = 2;
-    opts.fault = FaultPlan{};
+    c.workers = 2;
+    c.fault = FaultPlan{};
     superviseCampaignFleet(c, opts);
-    EXPECT_EQ(resumedJson(c, sd), cleanTinyJson());
+    EXPECT_EQ(resumedJson(tinyCampaign(), sd), cleanTinyJson());
 }
 
 TEST(WorkersFleet, WatchdogKillIsAContainedRetry)
@@ -404,15 +404,15 @@ TEST(WorkersFleet, WatchdogKillIsAContainedRetry)
     // hang@1 wedges slot 1's first attempt past the watchdog; the
     // supervisor SIGKILLs the worker, charges the slot one killed
     // attempt, and the respawned worker's retry (attempt 2) wins.
-    const CampaignSpec c = tinyCampaign();
+    CampaignSpec c = tinyCampaign();
     const test::TempDir dir("fleet_hang");
     const std::string sd = dir.file("state");
     CampaignRunOptions opts;
     opts.stateDir = sd;
-    opts.workers = 1;
-    opts.maxRetries = 1;
-    opts.fault = faultPlanFromString("hang@1");
-    opts.cellTimeoutSec = 1.0 * kTimeScale;
+    c.workers = 1;
+    c.maxRetries = 1;
+    c.fault = faultPlanFromString("hang@1");
+    c.cellTimeoutSec = 1.0 * kTimeScale;
     superviseCampaignFleet(c, opts);
 
     // The watchdog containment must be indistinguishable from an
@@ -422,21 +422,21 @@ TEST(WorkersFleet, WatchdogKillIsAContainedRetry)
     inproc.fault = faultPlanFromString("fail@1:1");
     inproc.maxRetries = 1;
     ParallelRunner serial(1);
-    EXPECT_EQ(resumedJson(c, sd),
+    EXPECT_EQ(resumedJson(tinyCampaign(), sd),
               CampaignRunner(serial).run(inproc).json());
 }
 
 TEST(WorkersFleet, WatchdogExhaustedBudgetRecordsAContainedFailure)
 {
-    const CampaignSpec c = tinyCampaign();
+    CampaignSpec c = tinyCampaign();
     const test::TempDir dir("fleet_hang_fail");
     const std::string sd = dir.file("state");
     CampaignRunOptions opts;
     opts.stateDir = sd;
-    opts.workers = 1;
-    opts.maxRetries = 0; // the first watchdog kill exhausts the cell
-    opts.fault = faultPlanFromString("hang@1");
-    opts.cellTimeoutSec = 1.0 * kTimeScale;
+    c.workers = 1;
+    c.maxRetries = 0; // the first watchdog kill exhausts the cell
+    c.fault = faultPlanFromString("hang@1");
+    c.cellTimeoutSec = 1.0 * kTimeScale;
     superviseCampaignFleet(c, opts);
     EXPECT_EQ(manifestDoneCount(sd), 3u);
 
@@ -445,7 +445,7 @@ TEST(WorkersFleet, WatchdogExhaustedBudgetRecordsAContainedFailure)
     resume.resume = true;
     ParallelRunner serial(1);
     const CampaignResult result =
-        CampaignRunner(serial).run(c, resume);
+        CampaignRunner(serial).run(tinyCampaign(), resume);
     EXPECT_EQ(result.failureCount(), 1u);
     const CellResult *hung = result.find("soc1/manual");
     ASSERT_NE(hung, nullptr);
@@ -460,7 +460,7 @@ TEST(WorkersFleet, WatchdogExhaustedBudgetRecordsAContainedFailure)
 
 TEST(WorkersFleetDeathTest, KillWorkerPlanKillsTheProcessForReal)
 {
-    const CampaignSpec c = tinyCampaign();
+    CampaignSpec c = tinyCampaign();
     const test::TempDir dir("worker_kill");
     const std::string sd = dir.file("state");
     CampaignStateDir setup(sd);
@@ -468,8 +468,8 @@ TEST(WorkersFleetDeathTest, KillWorkerPlanKillsTheProcessForReal)
 
     CampaignRunOptions opts;
     opts.stateDir = sd;
-    opts.workers = 1;
-    opts.fault = faultPlanFromString("kill-worker@1");
+    c.workers = 1;
+    c.fault = faultPlanFromString("kill-worker@1");
     EXPECT_EXIT({ runCampaignWorker(c, opts); },
                 ::testing::KilledBySignal(SIGKILL), "");
 
@@ -482,14 +482,14 @@ TEST(WorkersFleetDeathTest, KillWorkerPlanKillsTheProcessForReal)
     CampaignRunOptions finish;
     finish.stateDir = sd;
     finish.resume = true;
-    finish.workers = 1;
+    c.fault = FaultPlan{};
     superviseCampaignFleet(c, finish);
-    EXPECT_EQ(resumedJson(c, sd), cleanTinyJson());
+    EXPECT_EQ(resumedJson(tinyCampaign(), sd), cleanTinyJson());
 }
 
 TEST(WorkersFleetDeathTest, SigkilledSupervisorResumesByteIdentically)
 {
-    const CampaignSpec c = tinyCampaign();
+    CampaignSpec c = tinyCampaign();
     const test::TempDir dir("super_kill");
     const std::string sd = dir.file("state");
 
@@ -501,12 +501,13 @@ TEST(WorkersFleetDeathTest, SigkilledSupervisorResumesByteIdentically)
     ASSERT_GE(pid, 0);
     if (pid == 0) {
         ::setpgid(0, 0); // workers inherit the group — one kill(-pid)
+        CampaignSpec hung = c;
+        hung.workers = 1;
+        hung.fault = faultPlanFromString("hang@2");
         CampaignRunOptions opts;
         opts.stateDir = sd;
-        opts.workers = 1;
-        opts.fault = faultPlanFromString("hang@2");
         try {
-            superviseCampaignFleet(c, opts);
+            superviseCampaignFleet(hung, opts);
         } catch (...) {
         }
         std::_Exit(0);
@@ -536,8 +537,8 @@ TEST(WorkersFleetDeathTest, SigkilledSupervisorResumesByteIdentically)
     CampaignRunOptions fleet;
     fleet.stateDir = sd;
     fleet.resume = true;
-    fleet.workers = 2;
-    fleet.leaseTtlSec = 0.5;
+    c.workers = 2;
+    c.leaseTtlSec = 0.5;
     std::this_thread::sleep_for(std::chrono::milliseconds(800));
     superviseCampaignFleet(c, fleet);
     EXPECT_EQ(resumedJson(c, sd), cleanTinyJson());

@@ -13,25 +13,25 @@
  *   cohmeleon_run serve --requests 256 --threads 4 --tenants random,fig5
  *   cohmeleon_run list
  *
- * `run` executes one scenario cell (per-phase table, decision
- * breakdown, optional --stats block). `train` is the deterministic
- * sharded trainer — a comma list of SoCs selects cross-SoC transfer
- * training with a visit-weighted merge. `compare` runs the paper's
- * eight-policy protocol. `campaign` expands a registered name or a
- * .campaign file over the parallel driver and writes the structured
- * CAMPAIGN_<name>.json. All results are independent of --jobs.
- * `serve` runs the long-lived policy service: a seeded open-loop
- * request stream served by concurrent decision workers while
- * background training hot-swaps fresh model generations in; its
- * decision log is byte-identical at any --threads.
+ * Flags are spec keys. `--KEY VALUE` sets key KEY of the subcommand's
+ * spec grammar: a scenario key for run/train/compare, a serve-spec
+ * key for serve, a campaign file's top-level key for campaign. It
+ * goes through the same per-key dispatch the file parsers use, so a
+ * key has one parser, one cap and one diagnostic however it is set,
+ * and a malformed value fails with that diagnostic prefixed by the
+ * flag (exit code 2). Flags override a --scenario / --spec file. A
+ * few flags are aliases (kAliases); the rest (--jobs, --state-dir,
+ * ...) drive the run and are not spec keys.
  *
- * The pre-subcommand flat flags (--soc/--policy/--compare/...) keep
- * working as deprecated aliases.
+ * `run` executes one scenario cell, `train` is the deterministic
+ * sharded trainer (a comma list of SoCs selects cross-SoC transfer
+ * training), `compare` runs the paper's eight-policy protocol,
+ * `campaign` expands a registered name or a .campaign file, and
+ * `serve` runs the long-lived policy service. All results are
+ * independent of --jobs / --threads.
  */
 
 #include <algorithm>
-#include <cctype>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -55,254 +55,161 @@ using namespace cohmeleon;
 namespace
 {
 
+/** Flags whose name is not their spec key (run/train/compare). A
+ *  null value takes the next argument. */
+struct Alias
+{
+    const char *flag;
+    const char *key;
+    const char *value;
+};
+
+constexpr Alias kAliases[] = {
+    {"--app", "app-file", nullptr},
+    {"--figure-app", "app", nullptr},
+    {"--stats", "stats", "true"},
+    {"--exact-attribution", "attribution", "exact"},
+    {"--eval", "freeze-loaded", "true"},
+    {"-o", "save-model", nullptr},
+};
+
 [[noreturn]] void
 usage()
 {
     std::printf(
         "usage: cohmeleon_run <subcommand> [options]\n"
         "\n"
-        "  run       run one scenario cell\n"
-        "    --scenario FILE    load a .scenario file (flags "
-        "override)\n"
-        "    --soc NAME         SoC preset (default soc1)\n"
-        "    --policy NAME      policy, e.g. cohmeleon, manual@16K,\n"
-        "                       cohmeleon@perceptron:tables=16,bits=12\n"
-        "    --app FILE         application config file\n"
-        "    --figure-app NAME  registered figure app (fig5)\n"
-        "    --train N          training iterations (default 10)\n"
-        "    --shards N         sharded deterministic training\n"
-        "    --merge S          shard fold strategy (visit-weighted,\n"
-        "                       recency@D, reward-norm)\n"
-        "    --explore S        exploration schedule (linear,\n"
-        "                       floor@F, visit@S)\n"
-        "    --model M          learned-model backend (tabular,\n"
-        "                       perceptron:tables=T,bits=B)\n"
-        "    --seed N           evaluation-app seed (default 2022)\n"
-        "    --train-seed N     training-app seed (default 2021)\n"
-        "    --agent-seed N     exploration seed (default 7)\n"
-        "    --save-model F / --load-model F   full checkpoints\n"
-        "    --save-qtable F / --load-qtable F legacy Q-values only\n"
-        "    --eval             frozen evaluation of --load-model\n"
-        "    --disable-modes L  mask modes out (comma list)\n"
-        "    --exact-attribution  exact DDR attribution (ablation)\n"
-        "    --stats            dump the SoC statistics block\n"
-        "  train     deterministic sharded training -> checkpoint\n"
-        "    --soc NAME[,NAME...]  one SoC, or several for cross-SoC\n"
-        "                          transfer training (merged model)\n"
-        "    --train N --shards N --jobs N\n"
-        "    --merge S --explore S --model M   strategy axes (see "
-        "run)\n"
-        "    --train-seed N --agent-seed N\n"
-        "    -o F / --save-model F   output checkpoint (required)\n"
-        "  compare   the eight-policy protocol on one SoC\n"
-        "    --soc NAME --train N --seed N --jobs N\n"
-        "  campaign  run a campaign\n"
-        "    campaign NAME|FILE [--jobs N] [-o F] [--full] [--print]\n"
-        "    --state-dir DIR    stream per-cell results + a manifest\n"
-        "                       into DIR as cells complete\n"
-        "    --resume           validate DIR against the campaign and\n"
-        "                       re-run only the missing cells\n"
-        "    --max-retries N    per-cell retry budget for throwing\n"
-        "                       cells (default: the spec's)\n"
-        "    --fault PLAN       inject a scripted fault, e.g.\n"
-        "                       crash-after-write@0, fail@1:2,\n"
-        "                       kill-worker@0, hang@1\n"
-        "    --workers N        supervised worker-process fleet\n"
-        "                       claiming cells from DIR (needs\n"
-        "                       --state-dir)\n"
-        "    --lease-ttl S      seconds before a heartbeat-less\n"
-        "                       worker lease is reclaimed (default 30)\n"
-        "    --cell-timeout S   wall-clock watchdog: kill + contain a\n"
-        "                       cell running longer than S seconds\n"
-        "    --respawn-budget N worker deaths replaced before the\n"
-        "                       fleet gives up (default 8)\n"
-        "  serve     long-lived policy service over an open-loop\n"
-        "            request stream (SIGINT/SIGTERM drains cleanly)\n"
-        "    --spec FILE        load a .serve spec file (flags "
-        "override)\n"
-        "    --soc NAME         serving SoC preset (default soc1)\n"
-        "    --requests N       request budget (default 192)\n"
-        "    --threads N        decision worker threads (default 1)\n"
-        "    --swap-interval N  requests per hot-swapped model\n"
-        "                       generation (default 64)\n"
-        "    --train N          training iterations per generation\n"
-        "                       (default 3)\n"
-        "    --shards N         training shards per generation\n"
-        "                       (default 2)\n"
-        "    --merge S --explore S --model M   strategy axes (see "
-        "run)\n"
-        "    --tenants LIST     request mix: comma list of tenant\n"
-        "                       sources (random or a figure app)\n"
-        "    --tenant-weights L relative arrival shares (one per\n"
-        "                       tenant)\n"
-        "    --arrival-rate R   open-loop pacing in requests/sec\n"
-        "                       (0 = unpaced, the default)\n"
-        "    --seed N           request-stream seed (default 2024)\n"
-        "    --train-seed N --agent-seed N\n"
-        "    --decision-log F   write the canonical decision log\n"
-        "    --save-state F / --load-state F   serving+staging\n"
-        "                       snapshot (resume without retraining)\n"
-        "  list      known SoCs, policies, campaigns, figure apps\n");
+        "Options are spec keys: --KEY VALUE sets key KEY (see README\n"
+        "'Running experiments'), overriding a --scenario/--spec file.\n"
+        "\n"
+        "  run       one scenario cell (scenario keys)\n"
+        "    --scenario FILE    base .scenario file\n"
+        "  train     sharded training -> checkpoint (scenario keys;\n"
+        "            --soc A,B trains across SoCs; -o FILE required)\n"
+        "    --jobs N\n"
+        "  compare   the eight-policy protocol (scenario keys)\n"
+        "    --jobs N\n"
+        "  campaign  NAME|FILE (top-level campaign keys: --max-retries,\n"
+        "            --fault, --workers, --lease-ttl, --cell-timeout)\n"
+        "    --jobs N  -o/--out FILE  --full  --print\n"
+        "    --state-dir DIR  --resume  --respawn-budget N\n"
+        "  serve     long-lived policy service (serve-spec keys)\n"
+        "    --spec FILE        base .serve file\n"
+        "  list      known SoCs, policies, campaigns, figure apps\n"
+        "\n"
+        "aliases (run/train/compare):\n");
+    for (const Alias &a : kAliases)
+        std::printf("  %-20s %s = %s\n", a.flag, a.key,
+                    a.value != nullptr ? a.value : "VALUE");
     std::exit(2);
 }
 
-/** Flag cursor with validated value/number accessors. */
+/** One flag diagnostic line, exit code 2. */
+[[noreturn]] void
+flagFatal(const std::string &flag, const std::string &msg)
+{
+    std::fprintf(stderr, "fatal: %s: %s\n", flag.c_str(), msg.c_str());
+    std::exit(2);
+}
+
+/** Run @p apply; a FatalError becomes @p flag's diagnostic. */
+template <typename F>
+void
+asFlag(const std::string &flag, F &&apply)
+{
+    try {
+        apply();
+    } catch (const FatalError &e) {
+        flagFatal(flag, e.what());
+    }
+}
+
+/** Flag cursor. */
 struct Args
 {
     int argc;
     char **argv;
     int i;
 
-    bool
-    next(const char *flag, const char *alias = nullptr)
-    {
-        return std::strcmp(argv[i], flag) == 0 ||
-               (alias != nullptr && std::strcmp(argv[i], alias) == 0);
-    }
+    std::string flag() const { return argv[i]; }
+
+    bool is(const char *f) const { return std::strcmp(argv[i], f) == 0; }
 
     std::string
     value()
     {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "fatal: %s needs a value\n", argv[i]);
-            std::exit(2);
-        }
+        if (i + 1 >= argc)
+            flagFatal(argv[i], "needs a value");
         return argv[++i];
     }
 
-    std::uint64_t
-    number(std::uint64_t max)
+    /** A non-spec count flag (--jobs, --respawn-budget). */
+    unsigned
+    count(unsigned cap)
     {
-        // Digits only: stoull would accept "-1" (wrapping mod 2^64)
-        // and trailing garbage ("4x"). The cap keeps the later
-        // narrowing casts from truncating.
-        const std::string flag = argv[i];
+        const std::string f = flag();
         const std::string text = value();
-        try {
-            std::size_t used = 0;
-            if (text.empty() ||
-                !std::isdigit(static_cast<unsigned char>(text[0])))
-                throw std::invalid_argument(text);
-            const std::uint64_t n = std::stoull(text, &used);
-            if (used != text.size() || n > max)
-                throw std::invalid_argument(text);
-            return n;
-        } catch (const std::exception &) {
-            std::fprintf(stderr,
-                         "fatal: bad value '%s' for %s (max %llu)\n",
-                         text.c_str(), flag.c_str(),
-                         static_cast<unsigned long long>(max));
-            std::exit(2);
-        }
-    }
-
-    double
-    seconds(double max)
-    {
-        // Strict, like number(): no trailing garbage, and the value
-        // must be a positive duration within the campaign-spec cap.
-        const std::string flag = argv[i];
-        const std::string text = value();
-        try {
-            std::size_t used = 0;
-            const double v = std::stod(text, &used);
-            if (used != text.size() || !(v > 0.0) || v > max)
-                throw std::invalid_argument(text);
-            return v;
-        } catch (const std::exception &) {
-            std::fprintf(stderr,
-                         "fatal: bad value '%s' for %s (seconds in "
-                         "(0, %g])\n",
-                         text.c_str(), flag.c_str(), max);
-            std::exit(2);
-        }
+        unsigned n = 0;
+        asFlag(f, [&] {
+            n = app::parseU32At(text, 0);
+            fatalIf(n > cap, "'", text, "' too large (cap: ", cap, ")");
+        });
+        return n;
     }
 };
 
-/** Parse-time SoC-name validation: fail before any setup, listing
- *  the known names. */
-std::string
-validatedSoc(const std::string &name)
+/** The file named by @p flag's value (the last one wins), if any:
+ *  the base the other flags override wherever it sits. */
+const char *
+baseFile(const Args &args, const char *flag)
 {
-    if (!soc::isKnownSocName(name)) {
-        std::fprintf(stderr,
-                     "fatal: unknown SoC preset '%s'\n  known: %s\n",
-                     name.c_str(),
-                     soc::knownSocNamesText().c_str());
-        std::exit(2);
-    }
-    return name;
+    const char *file = nullptr;
+    for (int i = args.i; i + 1 < args.argc; ++i)
+        if (std::strcmp(args.argv[i], flag) == 0)
+            file = args.argv[i + 1];
+    return file;
 }
 
-/** Parse-time policy-name validation via the shared validator. */
-std::string
-validatedPolicy(const std::string &name)
+/**
+ * Walk the flags from args.i. @p own consumes the subcommand's
+ * non-spec flags (returning true); every other flag becomes a spec
+ * line (`--KEY VALUE`, or an alias when @p aliases) for @p apply,
+ * whose failure is that flag's one-line diagnostic.
+ */
+template <typename Own, typename Apply>
+void
+forEachFlag(Args &args, bool aliases, Own &&own, Apply &&apply)
 {
-    const std::string err = app::checkPolicyName(name);
-    if (!err.empty()) {
-        std::fprintf(stderr, "fatal: %s\n", err.c_str());
-        std::exit(2);
+    for (; args.i < args.argc; ++args.i) {
+        if (own(args))
+            continue;
+        const std::string flag = args.flag();
+        app::ConfigLine line; // no = 0: no "line N:" in diagnostics
+        const Alias *alias = nullptr;
+        for (const Alias &a : kAliases)
+            if (aliases && flag == a.flag)
+                alias = &a;
+        if (alias != nullptr) {
+            line.key = alias->key;
+            line.value =
+                alias->value != nullptr ? alias->value : args.value();
+        } else if (flag.size() > 2 && flag.compare(0, 2, "--") == 0) {
+            line.key = flag.substr(2);
+            line.value = app::trimText(args.value());
+        } else {
+            usage();
+        }
+        asFlag(flag, [&] { apply(line); });
     }
-    return name;
 }
 
-/** Parse-time strategy validation via the shared rl validators. */
-rl::MergeSpec
-validatedMerge(const std::string &text)
+bool
+jobsFlag(Args &args, unsigned &jobs)
 {
-    const std::string err = rl::checkMergeSpecText(text);
-    if (!err.empty()) {
-        std::fprintf(stderr, "fatal: %s\n", err.c_str());
-        std::exit(2);
-    }
-    return rl::mergeSpecFromString(text);
-}
-
-rl::ExploreSpec
-validatedExplore(const std::string &text)
-{
-    const std::string err = rl::checkExploreSpecText(text);
-    if (!err.empty()) {
-        std::fprintf(stderr, "fatal: %s\n", err.c_str());
-        std::exit(2);
-    }
-    return rl::exploreSpecFromString(text);
-}
-
-rl::ModelSpec
-validatedModel(const std::string &text)
-{
-    const std::string err = rl::checkModelSpecText(text);
-    if (!err.empty()) {
-        std::fprintf(stderr, "fatal: %s\n", err.c_str());
-        std::exit(2);
-    }
-    return rl::modelSpecFromString(text);
-}
-
-/** Parse-time fault-plan validation via the shared validator. */
-app::FaultPlan
-validatedFault(const std::string &text)
-{
-    const std::string err = app::checkFaultPlanText(text);
-    if (!err.empty()) {
-        std::fprintf(stderr, "fatal: %s\n", err.c_str());
-        std::exit(2);
-    }
-    return app::faultPlanFromString(text);
-}
-
-coh::ModeMask
-parseDisableModes(const std::string &list)
-{
-    coh::ModeMask mask = 0;
-    for (const std::string &part : app::splitList(list, ',')) {
-        const coh::CoherenceMode m = coh::modeFromString(part);
-        fatalIf(m == coh::CoherenceMode::kNonCohDma,
-                "non-coh-dma cannot be disabled");
-        mask |= coh::maskOf(m);
-    }
-    return mask;
+    if (!args.is("--jobs"))
+        return false;
+    jobs = args.count(1024);
+    return true;
 }
 
 // --------------------------------------------------------------- run
@@ -411,84 +318,32 @@ cmdRun(Args &args)
 {
     app::ScenarioSpec s;
     s.trainApp = app::TrainAppShape::kDense;
-    bool evalOnly = false;
-    // The scenario file is the base regardless of where --scenario
-    // sits in the argument list; the other flags then override it.
-    for (int i = args.i; i + 1 < args.argc; ++i) {
-        if (std::strcmp(args.argv[i], "--scenario") == 0) {
-            std::ifstream in(args.argv[i + 1]);
-            fatalIf(!in, "cannot open scenario file '",
-                    args.argv[i + 1], "'");
-            s = app::parseScenario(in);
-        }
+    if (const char *file = baseFile(args, "--scenario")) {
+        std::ifstream in(file);
+        fatalIf(!in, "cannot open scenario file '", file, "'");
+        s = app::parseScenario(in);
     }
     s.collectRecords = true;
-    for (; args.i < args.argc; ++args.i) {
-        if (args.next("--scenario")) {
-            args.value(); // consumed in the pre-scan above
-        } else if (args.next("--soc"))
-            s.soc = validatedSoc(args.value());
-        else if (args.next("--policy"))
-            s.policy = validatedPolicy(args.value());
-        else if (args.next("--app")) {
-            s.appSource = app::AppSource::kFile;
-            s.appFile = args.value();
-        } else if (args.next("--figure-app")) {
-            s.appSource = app::AppSource::kFigure;
-            s.figureName = args.value();
-        } else if (args.next("--train"))
-            s.trainIterations =
-                static_cast<unsigned>(args.number(1'000'000));
-        else if (args.next("--shards"))
-            s.trainShards = static_cast<unsigned>(args.number(4096));
-        else if (args.next("--merge"))
-            s.merge = validatedMerge(args.value());
-        else if (args.next("--explore"))
-            s.explore = validatedExplore(args.value());
-        else if (args.next("--model"))
-            s.model = validatedModel(args.value());
-        else if (args.next("--seed"))
-            s.evalSeed = args.number(UINT64_MAX);
-        else if (args.next("--train-seed"))
-            s.trainSeed = args.number(UINT64_MAX);
-        else if (args.next("--agent-seed"))
-            s.agentSeed = args.number(UINT64_MAX);
-        else if (args.next("--save-model"))
-            s.saveModel = args.value();
-        else if (args.next("--load-model"))
-            s.loadModel = args.value();
-        else if (args.next("--save-qtable"))
-            s.saveQtable = args.value();
-        else if (args.next("--load-qtable"))
-            s.loadQtable = args.value();
-        else if (args.next("--eval"))
-            evalOnly = true;
-        else if (args.next("--disable-modes"))
-            s.disabledModes = parseDisableModes(args.value());
-        else if (args.next("--exact-attribution"))
-            s.exactAttribution = true;
-        else if (args.next("--stats"))
-            s.captureStats = true;
-        else
-            usage();
-    }
+    bool evalOnly = false;
+    forEachFlag(
+        args, true,
+        [&](Args &a) {
+            evalOnly = evalOnly || a.is("--eval");
+            if (!a.is("--scenario"))
+                return false;
+            a.value();
+            return true;
+        },
+        [&](const app::ConfigLine &l) { app::applyScenarioKey(s, l); });
     fatalIf(evalOnly && s.loadModel.empty(),
             "--eval needs a model to evaluate (--load-model)");
     fatalIf(evalOnly && (s.trainShards != 0 || !s.saveModel.empty()),
             "--eval is the training-free split; it cannot be "
             "combined with --shards or --save-model");
-    fatalIf(!s.loadModel.empty() && !s.loadQtable.empty(),
-            "--load-model and --load-qtable are exclusive");
-    fatalIf(!s.loadModel.empty() && s.trainShards != 0,
-            "--load-model replaces training; drop --shards");
-    if (evalOnly)
-        s.freezeLoaded = true;
 
     const soc::SocConfig cfg = app::resolveSoc(s);
     const app::CellResult result = app::runScenario(s);
     printCellResult(result, cfg);
-    if (!s.saveQtable.empty())
-        std::printf("saved Q-table to %s\n", s.saveQtable.c_str());
     if (!s.saveModel.empty())
         std::printf("saved model to %s\n", s.saveModel.c_str());
     return 0;
@@ -499,45 +354,36 @@ cmdRun(Args &args)
 int
 cmdTrain(Args &args)
 {
-    std::vector<std::string> socNames = {"soc1"};
-    app::TrainingOptions topts;
+    app::ScenarioSpec s;
+    s.trainShards = 4;
+    s.trainApp = app::TrainAppShape::kDense;
+    std::vector<std::string> socNames = {s.soc};
     unsigned jobs = 0;
-    std::string saveModel;
-    for (; args.i < args.argc; ++args.i) {
-        if (args.next("--soc")) {
+    forEachFlag(
+        args, true, [&](Args &a) { return jobsFlag(a, jobs); },
+        [&](const app::ConfigLine &l) {
+            if (l.key != "soc")
+                return app::applyScenarioKey(s, l);
+            // A comma list of SoCs selects cross-SoC transfer training.
             socNames.clear();
-            for (const std::string &n :
-                 app::splitList(args.value(), ','))
-                socNames.push_back(validatedSoc(n));
-        } else if (args.next("--train"))
-            topts.iterations =
-                static_cast<unsigned>(args.number(1'000'000));
-        else if (args.next("--shards"))
-            topts.shards = static_cast<unsigned>(args.number(4096));
-        else if (args.next("--merge"))
-            topts.merge = validatedMerge(args.value());
-        else if (args.next("--explore"))
-            topts.explore = validatedExplore(args.value());
-        else if (args.next("--model"))
-            topts.model = validatedModel(args.value());
-        else if (args.next("--jobs"))
-            jobs = static_cast<unsigned>(args.number(1024));
-        else if (args.next("--train-seed"))
-            topts.trainSeed = args.number(UINT64_MAX);
-        else if (args.next("--agent-seed"))
-            topts.agentSeed = args.number(UINT64_MAX);
-        else if (args.next("--save-model", "-o"))
-            saveModel = args.value();
-        else
-            usage();
-    }
-    fatalIf(saveModel.empty(),
+            app::ConfigLine one = l;
+            for (const std::string &n : app::splitList(l.value, ',')) {
+                one.value = n;
+                app::applyScenarioKey(s, one);
+                socNames.push_back(n);
+            }
+        });
+    fatalIf(s.saveModel.empty(),
             "train produces a checkpoint; name it with -o FILE");
-    fatalIf(topts.shards == 0, "--shards must be positive");
+    fatalIf(s.trainShards == 0, "--shards must be positive");
+    const app::TrainingOptions topts = app::trainingOptionsOf(s);
 
     std::vector<soc::SocConfig> cfgs;
-    for (const std::string &n : socNames)
-        cfgs.push_back(soc::makeSocByName(n));
+    for (const std::string &n : socNames) {
+        app::ScenarioSpec probe = s;
+        probe.soc = n;
+        cfgs.push_back(app::resolveSoc(probe));
+    }
 
     app::ParallelRunner runner(jobs);
     std::printf("training cohmeleon: %zu SoC(s) x %u shards x %u "
@@ -550,11 +396,11 @@ cmdTrain(Args &args)
         app::TrainingDriver driver(runner);
         tres = driver.train(cfgs.front(), topts);
     } else {
-        // Cross-SoC transfer: shards per SoC, one visit-weighted
-        // merge in global shard order.
+        // Cross-SoC transfer: shards per SoC, one merge in global
+        // shard order.
         tres = app::trainAcrossSocs(cfgs, topts, runner);
     }
-    tres.checkpoint.saveFile(saveModel);
+    tres.checkpoint.saveFile(s.saveModel);
     std::printf("trained on %llu invocations in %.2fs (%llu "
                 "q-updates, %llu/%llu entries covered, %s model)\n",
                 static_cast<unsigned long long>(tres.totalInvocations),
@@ -566,7 +412,7 @@ cmdTrain(Args &args)
                 static_cast<unsigned long long>(rl::entryCapacity(
                     tres.checkpoint.model.spec())),
                 rl::toString(tres.checkpoint.model.spec()).c_str());
-    std::printf("saved model to %s\n", saveModel.c_str());
+    std::printf("saved model to %s\n", s.saveModel.c_str());
     return 0;
 }
 
@@ -575,40 +421,26 @@ cmdTrain(Args &args)
 int
 cmdCompare(Args &args)
 {
-    std::string socName = "soc1";
-    unsigned trainIterations = 10;
-    std::uint64_t seed = 2022;
-    unsigned jobs = 0;
-    for (; args.i < args.argc; ++args.i) {
-        if (args.next("--soc"))
-            socName = validatedSoc(args.value());
-        else if (args.next("--train"))
-            trainIterations =
-                static_cast<unsigned>(args.number(1'000'000));
-        else if (args.next("--seed"))
-            seed = args.number(UINT64_MAX);
-        else if (args.next("--jobs"))
-            jobs = static_cast<unsigned>(args.number(1024));
-        else
-            usage();
-    }
-
     // The paper's protocol as a one-group campaign: dense training
     // apps so a policy's row can be cross-checked against its
-    // standalone run at the same --seed.
+    // standalone run at the same seed.
     app::CampaignSpec spec;
     spec.name = "compare";
-    spec.base.soc = socName;
-    spec.base.trainIterations = std::max(1u, trainIterations);
-    spec.base.evalSeed = seed;
     spec.base.trainApp = app::TrainAppShape::kDense;
+    unsigned jobs = 0;
+    forEachFlag(
+        args, true, [&](Args &a) { return jobsFlag(a, jobs); },
+        [&](const app::ConfigLine &l) {
+            app::applyScenarioKey(spec.base, l);
+        });
+    spec.base.trainIterations = std::max(1u, spec.base.trainIterations);
     spec.policies = app::standardPolicyNames();
     spec.baseline = "fixed-non-coh-dma";
 
     app::ParallelRunner runner(jobs);
     std::printf("comparing the eight policies on %s "
                 "(%u thread(s))...\n",
-                socName.c_str(), runner.threads());
+                spec.base.soc.c_str(), runner.threads());
     const WallTimer timer;
     app::CampaignRunner driver(runner);
     const app::CampaignResult result = driver.run(spec);
@@ -631,71 +463,44 @@ cmdCampaign(Args &args)
     bool full = false;
     bool printOnly = false;
     app::CampaignRunOptions ropts;
-    for (; args.i < args.argc; ++args.i) {
-        if (args.next("--jobs"))
-            jobs = static_cast<unsigned>(args.number(1024));
-        else if (args.next("--out", "-o"))
-            outFile = args.value();
-        else if (args.next("--full"))
-            full = true;
-        else if (args.next("--print"))
-            printOnly = true;
-        else if (args.next("--state-dir"))
-            ropts.stateDir = args.value();
-        else if (args.next("--resume"))
-            ropts.resume = true;
-        else if (args.next("--max-retries"))
-            ropts.maxRetries =
-                static_cast<unsigned>(args.number(1000));
-        else if (args.next("--fault"))
-            ropts.fault = validatedFault(args.value());
-        else if (args.next("--workers")) {
-            ropts.workers = static_cast<unsigned>(args.number(1024));
-            if (ropts.workers == 0) {
-                std::fprintf(stderr,
-                             "fatal: --workers must be at least 1 "
-                             "(omit the flag for an in-process "
-                             "run)\n");
-                return 2;
-            }
-        } else if (args.next("--lease-ttl"))
-            ropts.leaseTtlSec = args.seconds(86400.0);
-        else if (args.next("--cell-timeout"))
-            ropts.cellTimeoutSec = args.seconds(86400.0);
-        else if (args.next("--respawn-budget"))
-            ropts.respawnBudget =
-                static_cast<unsigned>(args.number(1000));
-        else if (args.argv[args.i][0] == '-')
-            usage();
-        else if (source.empty())
-            source = args.argv[args.i];
-        else
-            usage();
-    }
-    if (ropts.resume && ropts.stateDir.empty()) {
-        std::fprintf(stderr, "fatal: --resume needs --state-dir DIR\n");
-        return 2;
-    }
-    if (ropts.workers > 0 && ropts.stateDir.empty()) {
-        std::fprintf(stderr,
-                     "fatal: --workers needs --state-dir DIR (the "
-                     "fleet claims cells through it)\n");
-        return 2;
-    }
-    if (ropts.cellTimeoutSec > 0.0 && ropts.stateDir.empty()) {
-        std::fprintf(stderr,
-                     "fatal: --cell-timeout needs --state-dir DIR "
-                     "(the watchdog runs in the worker-fleet "
-                     "supervisor)\n");
-        return 2;
-    }
+    // The flags' keys are checked as they are read and applied once
+    // the campaign they override is loaded.
+    app::CampaignSpec checked;
+    std::vector<app::ConfigLine> overrides;
+    forEachFlag(
+        args, false,
+        [&](Args &a) {
+            if (jobsFlag(a, jobs))
+                return true;
+            if (a.is("--out") || a.is("-o"))
+                outFile = a.value();
+            else if (a.is("--full"))
+                full = true;
+            else if (a.is("--print"))
+                printOnly = true;
+            else if (a.is("--state-dir"))
+                ropts.stateDir = a.value();
+            else if (a.is("--resume"))
+                ropts.resume = true;
+            else if (a.is("--respawn-budget"))
+                ropts.respawnBudget = a.count(1000);
+            else if (a.argv[a.i][0] != '-' && source.empty())
+                source = a.argv[a.i];
+            else
+                return false;
+            return true;
+        },
+        [&](const app::ConfigLine &l) {
+            app::applyCampaignKey(checked, l);
+            overrides.push_back(l);
+        });
     if (source.empty()) {
         std::fprintf(stderr,
                      "fatal: campaign needs a registered name or a "
-                     "file\n  registered:");
+                     "file (registered:");
         for (const std::string &n : app::namedCampaignNames())
             std::fprintf(stderr, " %s", n.c_str());
-        std::fprintf(stderr, "\n");
+        std::fprintf(stderr, ")\n");
         return 2;
     }
 
@@ -708,31 +513,42 @@ cmdCampaign(Args &args)
                 "' (not a registered name either)");
         spec = app::parseCampaign(in);
     }
+    for (const app::ConfigLine &l : overrides)
+        app::applyCampaignKey(spec, l);
 
     if (printOnly) {
         std::fputs(app::serializeCampaign(spec).c_str(), stdout);
         return 0;
     }
 
-    const unsigned workers =
-        ropts.workers != 0 ? ropts.workers : spec.workers;
-    if (workers > 0) {
-        // Crash/sigint plans key on per-process write ordinals, which
-        // are not deterministic across a fleet; the fleet-native
-        // fault is kill-worker@N.
-        const app::FaultPlan &fleetFault =
-            ropts.fault.active() ? ropts.fault : spec.fault;
-        if (fleetFault.kind == app::FaultPlan::Kind::kCrashBeforeWrite ||
-            fleetFault.kind == app::FaultPlan::Kind::kCrashAfterWrite ||
-            fleetFault.kind ==
-                app::FaultPlan::Kind::kSigintAfterWrite) {
-            std::fprintf(stderr,
-                         "fatal: --workers cannot be combined with "
-                         "fault '%s' (write ordinals are per-process; "
-                         "use kill-worker@N to crash a fleet)\n",
-                         app::toString(fleetFault).c_str());
-            return 2;
+    const auto needsStateDir = [&](bool set, const char *what) {
+        if (set && ropts.stateDir.empty()) {
+            std::fprintf(stderr, "fatal: %s needs --state-dir DIR\n",
+                         what);
+            std::exit(2);
         }
+    };
+    needsStateDir(ropts.resume, "--resume");
+    needsStateDir(spec.workers > 0,
+                  "workers (the fleet claims cells through it)");
+    needsStateDir(spec.cellTimeoutSec > 0.0,
+                  "cell-timeout (the watchdog runs in the worker-fleet "
+                  "supervisor)");
+
+    const unsigned workers = spec.workers;
+    // Crash/sigint plans key on per-process write ordinals, which are
+    // not deterministic across a fleet; the fleet-native fault is
+    // kill-worker@N.
+    if (workers > 0 &&
+        (spec.fault.kind == app::FaultPlan::Kind::kCrashBeforeWrite ||
+         spec.fault.kind == app::FaultPlan::Kind::kCrashAfterWrite ||
+         spec.fault.kind == app::FaultPlan::Kind::kSigintAfterWrite)) {
+        std::fprintf(stderr,
+                     "fatal: workers cannot be combined with fault "
+                     "'%s' (write ordinals are per-process; use "
+                     "kill-worker@N to crash a fleet)\n",
+                     app::toString(spec.fault).c_str());
+        return 2;
     }
 
     const WallTimer timer;
@@ -745,10 +561,8 @@ cmdCampaign(Args &args)
                         : "");
         app::installCampaignSignalHandlers();
         app::clearCampaignStop();
-        app::CampaignRunOptions fopts = ropts;
-        fopts.workers = workers;
         try {
-            app::superviseCampaignFleet(spec, fopts);
+            app::superviseCampaignFleet(spec, ropts);
         } catch (const app::CampaignInterrupted &e) {
             std::fprintf(stderr, "interrupted: %s\n", e.what());
             return 130;
@@ -760,8 +574,6 @@ cmdCampaign(Args &args)
         // resuming in-process (runs zero cells, so the fault plan
         // must not re-arm).
         ropts.resume = true;
-        ropts.workers = 0;
-        ropts.fault = app::FaultPlan{};
         spec.fault = app::FaultPlan{};
         spec.workers = 0;
     }
@@ -867,158 +679,47 @@ cmdCampaign(Args &args)
 int
 cmdServe(Args &args)
 {
+    // Flags of other subcommands, pointed at serve's equivalent.
+    static const std::map<std::string, const char *> kElsewhere = {
+        {"--resume", "applies to `campaign`; a serve session resumes "
+                     "its model with --load-state FILE"},
+        {"--state-dir", "applies to `campaign`; serve persists its "
+                        "model with --save-state FILE"},
+        {"--workers", "applies to `campaign`; serve concurrency is "
+                      "--threads N"},
+        {"--jobs", "applies to batch subcommands; serve concurrency is "
+                   "--threads N"},
+        {"--fault", "applies to `campaign` (serve drains on "
+                    "SIGINT/SIGTERM instead)"},
+    };
+    const char *file = baseFile(args, "--spec");
+    serve::ServeSpecBuilder builder(
+        file != nullptr ? serve::parseServeSpecFile(file)
+                        : serve::ServeSpec{});
+    bool weightsFlag = false;
+    forEachFlag(
+        args, false,
+        [&](Args &a) {
+            if (const auto hint = kElsewhere.find(a.flag());
+                hint != kElsewhere.end())
+                flagFatal(a.flag(), hint->second);
+            weightsFlag = weightsFlag || a.is("--tenant-weights");
+            if (!a.is("--spec"))
+                return false;
+            a.value();
+            return true;
+        },
+        [&](const app::ConfigLine &l) {
+            // Validating after every flag pins a failure on the flag
+            // that caused it; tenant weights wait for build().
+            builder.apply(l);
+            serve::validateServeSpec(builder.spec());
+        });
     serve::ServeSpec spec;
-    std::vector<double> tenantWeights;
-    bool sawTenantWeights = false;
-    for (; args.i < args.argc; ++args.i) {
-        if (args.next("--spec")) {
-            spec = serve::parseServeSpecFile(args.value());
-        } else if (args.next("--soc")) {
-            spec.soc = validatedSoc(args.value());
-        } else if (args.next("--requests")) {
-            spec.requests = args.number(100000000);
-        } else if (args.next("--threads")) {
-            spec.threads = static_cast<unsigned>(args.number(256));
-        } else if (args.next("--swap-interval")) {
-            spec.swapInterval = args.number(100000000);
-        } else if (args.next("--train")) {
-            spec.trainIterations =
-                static_cast<unsigned>(args.number(100000));
-        } else if (args.next("--shards")) {
-            spec.trainShards =
-                static_cast<unsigned>(args.number(100000));
-        } else if (args.next("--merge")) {
-            spec.merge = validatedMerge(args.value());
-        } else if (args.next("--explore")) {
-            spec.explore = validatedExplore(args.value());
-        } else if (args.next("--model")) {
-            spec.model = validatedModel(args.value());
-        } else if (args.next("--tenants")) {
-            spec.tenants.clear();
-            for (const std::string &part :
-                 app::splitList(args.value(), ',')) {
-                const std::string src = app::trimText(part);
-                const std::string err =
-                    serve::checkTenantSource(src);
-                if (!err.empty()) {
-                    std::fprintf(stderr, "fatal: %s\n", err.c_str());
-                    return 2;
-                }
-                serve::TenantSpec t;
-                t.source = src;
-                spec.tenants.push_back(std::move(t));
-            }
-            if (spec.tenants.empty()) {
-                std::fprintf(stderr, "fatal: --tenants needs at "
-                                     "least one source\n");
-                return 2;
-            }
-        } else if (args.next("--tenant-weights")) {
-            sawTenantWeights = true;
-            tenantWeights.clear();
-            const std::string flag = args.argv[args.i];
-            for (const std::string &part :
-                 app::splitList(args.value(), ',')) {
-                const std::string text = app::trimText(part);
-                double w = 0.0;
-                std::size_t used = 0;
-                try {
-                    w = std::stod(text, &used);
-                } catch (const std::exception &) {
-                    used = 0;
-                }
-                if (used != text.size() || !(w > 0.0) ||
-                    !std::isfinite(w)) {
-                    std::fprintf(stderr,
-                                 "fatal: bad value '%s' in %s "
-                                 "(positive numbers only)\n",
-                                 text.c_str(), flag.c_str());
-                    return 2;
-                }
-                tenantWeights.push_back(w);
-            }
-        } else if (args.next("--arrival-rate")) {
-            // Like args.seconds() but 0 (unpaced) stays legal.
-            const std::string text = args.value();
-            double rate = -1.0;
-            std::size_t used = 0;
-            try {
-                rate = std::stod(text, &used);
-            } catch (const std::exception &) {
-                used = 0;
-            }
-            if (used != text.size() || !(rate >= 0.0) ||
-                !std::isfinite(rate) || rate > 1e9) {
-                std::fprintf(stderr,
-                             "fatal: bad value '%s' for "
-                             "--arrival-rate (requests/sec in "
-                             "[0, 1e9])\n",
-                             text.c_str());
-                return 2;
-            }
-            spec.arrivalRate = rate;
-        } else if (args.next("--seed")) {
-            spec.seed = args.number(UINT64_MAX);
-        } else if (args.next("--train-seed")) {
-            spec.trainSeed = args.number(UINT64_MAX);
-        } else if (args.next("--agent-seed")) {
-            spec.agentSeed = args.number(UINT64_MAX);
-        } else if (args.next("--decision-log")) {
-            spec.decisionLog = args.value();
-        } else if (args.next("--save-state")) {
-            spec.saveState = args.value();
-        } else if (args.next("--load-state")) {
-            spec.loadState = args.value();
-        } else if (args.next("--resume")) {
-            std::fprintf(stderr,
-                         "fatal: --resume applies to `campaign`; a "
-                         "serve session resumes its model with "
-                         "--load-state FILE instead\n");
-            return 2;
-        } else if (args.next("--state-dir")) {
-            std::fprintf(stderr,
-                         "fatal: --state-dir applies to `campaign`; "
-                         "serve persists its model with --save-state "
-                         "FILE instead\n");
-            return 2;
-        } else if (args.next("--workers")) {
-            std::fprintf(stderr,
-                         "fatal: --workers applies to `campaign`; "
-                         "serve concurrency is --threads N\n");
-            return 2;
-        } else if (args.next("--jobs")) {
-            std::fprintf(stderr,
-                         "fatal: --jobs applies to batch "
-                         "subcommands; serve concurrency is "
-                         "--threads N\n");
-            return 2;
-        } else if (args.next("--fault")) {
-            std::fprintf(stderr,
-                         "fatal: --fault applies to `campaign` "
-                         "(serve drains on SIGINT/SIGTERM instead)\n");
-            return 2;
-        } else {
-            usage();
-        }
-    }
-    if (sawTenantWeights) {
-        if (tenantWeights.size() != spec.tenants.size()) {
-            std::fprintf(stderr,
-                         "fatal: --tenant-weights has %zu entries "
-                         "for %zu tenants\n",
-                         tenantWeights.size(), spec.tenants.size());
-            return 2;
-        }
-        for (std::size_t i = 0; i < tenantWeights.size(); ++i)
-            spec.tenants[i].weight = tenantWeights[i];
-    }
-    serve::labelTenants(spec);
-    try {
+    asFlag("--tenant-weights", [&] {
+        spec = builder.build();
         serve::validateServeSpec(spec);
-    } catch (const FatalError &e) {
-        std::fprintf(stderr, "fatal: %s\n", e.what());
-        return 2;
-    }
+    });
 
     std::printf("serving %llu request(s) on %s over %u thread(s), "
                 "hot-swapping every %llu (%llu generation(s))...\n",
@@ -1102,123 +803,6 @@ cmdList()
     return 0;
 }
 
-// ------------------------------------------------- deprecated aliases
-
-/** The pre-subcommand flat-flag interface, kept alive for scripts:
- *  maps onto the same scenario/campaign machinery. */
-int
-legacyMain(Args &args)
-{
-    std::fprintf(stderr,
-                 "note: the flat flags are deprecated; see "
-                 "'cohmeleon_run --help' for the subcommands\n");
-
-    app::ScenarioSpec s;
-    s.trainApp = app::TrainAppShape::kDense;
-    s.collectRecords = true;
-    bool policySet = false;
-    bool evalOnly = false;
-    bool compare = false;
-    unsigned trainJobs = 0;
-    bool trainShardsSet = false;
-    unsigned jobs = 0;
-    s.trainShards = 4; // the legacy --train-jobs default shard count
-
-    for (; args.i < args.argc; ++args.i) {
-        if (args.next("--soc"))
-            s.soc = validatedSoc(args.value());
-        else if (args.next("--policy")) {
-            s.policy = validatedPolicy(args.value());
-            policySet = true;
-        } else if (args.next("--app")) {
-            s.appSource = app::AppSource::kFile;
-            s.appFile = args.value();
-        } else if (args.next("--train"))
-            s.trainIterations =
-                static_cast<unsigned>(args.number(1'000'000));
-        else if (args.next("--seed"))
-            s.evalSeed = args.number(UINT64_MAX);
-        else if (args.next("--save-qtable"))
-            s.saveQtable = args.value();
-        else if (args.next("--load-qtable"))
-            s.loadQtable = args.value();
-        else if (args.next("--save-model"))
-            s.saveModel = args.value();
-        else if (args.next("--load-model"))
-            s.loadModel = args.value();
-        else if (args.next("--train-jobs")) {
-            trainJobs = static_cast<unsigned>(args.number(1024));
-            if (trainJobs == 0)
-                usage();
-        } else if (args.next("--train-shards")) {
-            s.trainShards = static_cast<unsigned>(args.number(4096));
-            trainShardsSet = true;
-            if (s.trainShards == 0)
-                usage();
-        } else if (args.next("--eval"))
-            evalOnly = true;
-        else if (args.next("--stats"))
-            s.captureStats = true;
-        else if (args.next("--compare"))
-            compare = true;
-        else if (args.next("--jobs")) {
-            jobs = static_cast<unsigned>(args.number(1024));
-            if (jobs == 0) // 0 is the internal "unset" sentinel
-                usage();
-        } else
-            usage();
-    }
-
-    fatalIf(!compare && jobs != 0, "--jobs only applies to --compare");
-    fatalIf(evalOnly && s.loadModel.empty(),
-            "--eval needs a model to evaluate (--load-model)");
-    fatalIf(evalOnly && (trainJobs != 0 || !s.saveModel.empty()),
-            "--eval is the training-free split; it cannot be "
-            "combined with --train-jobs or --save-model");
-    fatalIf(!s.loadModel.empty() && trainJobs != 0,
-            "--load-model replaces training; drop --train-jobs");
-    fatalIf(trainShardsSet && trainJobs == 0,
-            "--train-shards only applies to the parallel driver; "
-            "add --train-jobs N");
-    fatalIf(!s.loadModel.empty() && !s.loadQtable.empty(),
-            "--load-model and --load-qtable are exclusive");
-    s.freezeLoaded = evalOnly;
-
-    if (compare) {
-        fatalIf(policySet || !s.appFile.empty() ||
-                    !s.saveQtable.empty() || !s.loadQtable.empty() ||
-                    !s.saveModel.empty() || !s.loadModel.empty() ||
-                    trainJobs != 0 || evalOnly || s.captureStats,
-                "--compare runs all eight policies on a random "
-                "app; it cannot be combined with --policy, "
-                "--app, --stats, or the model options");
-        std::vector<std::string> argvText = {
-            "--soc", s.soc, "--train",
-            std::to_string(s.trainIterations), "--seed",
-            std::to_string(s.evalSeed)};
-        if (jobs != 0) {
-            argvText.push_back("--jobs");
-            argvText.push_back(std::to_string(jobs));
-        }
-        std::vector<char *> argvPtrs;
-        for (std::string &t : argvText)
-            argvPtrs.push_back(t.data());
-        Args cargs{static_cast<int>(argvPtrs.size()),
-                   argvPtrs.data(), 0};
-        return cmdCompare(cargs);
-    }
-
-    s.trainShards = trainJobs != 0 ? s.trainShards : 0;
-    const soc::SocConfig cfg = app::resolveSoc(s);
-    const app::CellResult result = app::runScenario(s);
-    printCellResult(result, cfg);
-    if (!s.saveQtable.empty())
-        std::printf("saved Q-table to %s\n", s.saveQtable.c_str());
-    if (!s.saveModel.empty())
-        std::printf("saved model to %s\n", s.saveModel.c_str());
-    return 0;
-}
-
 } // namespace
 
 int
@@ -1242,14 +826,9 @@ main(int argc, char **argv)
             return cmdServe(args);
         if (cmd == "list")
             return cmdList();
-        if (cmd == "--help" || cmd == "-h" || cmd == "help")
-            usage();
-        if (!cmd.empty() && cmd.front() == '-') {
-            Args largs{argc, argv, 1};
-            return legacyMain(largs);
-        }
         usage();
-    } catch (const FatalError &e) {
+    } catch (const std::exception &e) {
+        // FatalError and anything else: one line, never terminate().
         std::fprintf(stderr, "fatal: %s\n", e.what());
         return 1;
     }

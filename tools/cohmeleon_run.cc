@@ -696,14 +696,12 @@ cmdServe(Args &args)
     serve::ServeSpecBuilder builder(
         file != nullptr ? serve::parseServeSpecFile(file)
                         : serve::ServeSpec{});
-    bool weightsFlag = false;
     forEachFlag(
         args, false,
         [&](Args &a) {
             if (const auto hint = kElsewhere.find(a.flag());
                 hint != kElsewhere.end())
                 flagFatal(a.flag(), hint->second);
-            weightsFlag = weightsFlag || a.is("--tenant-weights");
             if (!a.is("--spec"))
                 return false;
             a.value();
